@@ -33,8 +33,9 @@ Guarantees:
 * concurrent traffic batches — :class:`BatchScheduler`
   (:mod:`repro.serve.scheduler`) coalesces concurrent queries into
   single batched matrix passes (:meth:`ServingIndex.batch_top_k`,
-  bit-identical to serial execution), with a bounded admission queue
-  and SLO-driven load-shedding to the TF-IDF degraded path.
+  bit-identical to ranking each request alone), with a bounded
+  admission queue and SLO-driven load-shedding to the TF-IDF degraded
+  path.
 
 * ingestion survives crashes — :class:`WriteAheadLog`
   (:mod:`repro.serve.wal`) durably logs every ``add_paper`` before it

@@ -516,6 +516,14 @@ def has_ann_index(directory: str | os.PathLike) -> bool:
     return (Path(directory) / "ann" / "ivf.json").is_file()
 
 
+def _manifest_extra(root: Path) -> dict:
+    """The manifest's free-form ``extra`` metadata (``{}`` without one)."""
+    manifest_path = root / MANIFEST_NAME
+    if not manifest_path.is_file():
+        return {}
+    return _read_json(manifest_path).get("extra", {})
+
+
 def _refresh_manifest(root: Path) -> None:
     """Re-walk the artifact and rewrite the manifest's file checksums.
 

@@ -1,4 +1,4 @@
-"""Online serving: precomputed embeddings, blockwise top-K, ingestion.
+"""Online serving: precomputed embeddings, one batched rank path, ingestion.
 
 :class:`ServingIndex` is the query-side half of :mod:`repro.serve`. It
 holds a *candidate pool* of papers with their influence representations
@@ -7,6 +7,13 @@ registered users, and answers top-K queries with a bounded heap over
 fixed-size matmul blocks — memory stays ``O(block_size * dim + K)`` per
 query regardless of pool size (the ROADMAP's production-scale serving
 condition).
+
+Every query takes one rank path, :meth:`ServingIndex.batch_top_k`:
+admit under ``_serve_lock`` (validate, serve cache hits, snapshot the
+pool state), score with that lock released, publish to the LRU cache
+under the lock. :meth:`ServingIndex.top_k` is that path with a batch of
+one, so caching and degradation rules live in one place, and
+``add_paper`` and ``register_user`` never wait on scoring.
 
 Scoring matches :meth:`NPRecRecommender._rank`'s correlation term —
 ``mix * max + (1 - mix) * mean`` over the user's interest vectors — with
@@ -34,9 +41,10 @@ triggers a full deterministic re-cluster, counted as
 ``serve.ann.recluster``.
 
 Degradation is graceful and observable: an unloadable artifact
-(:meth:`ServingIndex.from_artifact`) or a query touching entities the
-model has never seen falls back to TF-IDF content ranking, counting
-``serve.degraded`` with a ``reason`` label.
+(:meth:`ServingIndex.from_artifact`), a query touching entities the
+model has never seen, or a fault on the model path falls back to
+TF-IDF content ranking, counting ``serve.degraded`` with a ``reason``
+label.
 """
 
 from __future__ import annotations
@@ -64,8 +72,10 @@ from repro.errors import (ArtifactError, GraphError, InjectedFault,
 from repro.graph.builder import attach_paper_to_network
 from repro.resilience import faults
 from repro.resilience.retry import Backoff, retry
-from repro.serve.ann import (IVFIndex, batch_exact_top_k, exact_top_k,
-                             rank_candidates)
+from repro.serve.ann import IVFIndex, batch_exact_top_k, rank_candidates
+# Not called here; kept as a module attribute because the benchmark's
+# traced rank pass (perfbench/wl_rank.py) wraps it by name.
+from repro.serve.ann import exact_top_k  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.scheduler import BatchScheduler
@@ -85,7 +95,7 @@ class BatchQueryResult:
     produced — bit-identically — by an earlier computation).
     ``pool_version`` stamps the pool state the answer reflects, so a
     response produced while ingestion raced the batch can be checked
-    against the right serial oracle (pre- or post-ingest, never a torn
+    against the right oracle (pre- or post-ingest, never a torn
     mix). A per-request validation failure (unknown user, bad k) lands
     in ``error`` instead of failing the whole batch.
     """
@@ -102,8 +112,7 @@ class _BatchJob:
     """One deduplicated unit of batch work: a distinct ``(user, k)``."""
 
     __slots__ = ("cache_key", "papers", "profile", "k", "positions", "mode",
-                 "reason", "fault", "interest", "candidates", "stats",
-                 "ids", "scores")
+                 "reason", "interest", "candidates", "stats", "ids", "scores")
 
     def __init__(self, cache_key: tuple, papers: list, profile, k: int) -> None:
         self.cache_key = cache_key
@@ -113,12 +122,23 @@ class _BatchJob:
         self.positions: list[int] = []  # request indices sharing this job
         self.mode = "rank"
         self.reason: str | None = None
-        self.fault = False
         self.interest: np.ndarray | None = None
         self.candidates: np.ndarray | None = None
         self.stats = None
         self.ids: list[str] = []
         self.scores: np.ndarray | None = None
+
+
+def _tfidf_rank(tfidf: TfIdfIndex, matrix: np.ndarray, ids: Sequence[str],
+                user_papers: Sequence[Paper], k: int) -> list[str]:
+    """Degraded answer: pool *ids* ranked by TF-IDF similarity.
+
+    *matrix* holds one TF-IDF row per id; the user's profile is the mean
+    of its papers' rows. Ties keep pool order (stable sort).
+    """
+    profile = np.mean([tfidf.transform(p) for p in user_papers], axis=0)
+    order = np.argsort(-(matrix @ profile), kind="mergesort")[:k]
+    return [ids[int(i)] for i in order]
 
 
 class ServingIndex:
@@ -206,7 +226,6 @@ class ServingIndex:
         self._degraded_reason: str | None = ("no_model" if recommender is None
                                              else None)
         self._last_load_error: RetryExhaustedError | None = None
-        self._query_fault = False
         # Monotone stamp of result-affecting pool state: bumps on every
         # append, nprobe retune, and influence heal. Batched responses
         # are stamped with the version they were computed against.
@@ -225,6 +244,9 @@ class ServingIndex:
         # loop). Reentrant: add_paper at construction time and health
         # probes nest inside already-locked sections.
         self._serve_lock = threading.RLock()
+        # Serialises unbatched top_k calls (see there); taken before
+        # _serve_lock, never while holding it.
+        self._top_k_lock = threading.Lock()
         # Publish the serving objectives once; replace=False keeps any
         # operator-tuned SLO registered under the same name.
         for slo in default_serving_slos():
@@ -638,7 +660,8 @@ class ServingIndex:
         Under ``_serve_lock``: snapshots the serving pool to
         ``pool/pool.json`` (:func:`repro.serve.artifacts.save_pool`),
         re-saves the pipeline — whose graph/model/field-sampler state
-        already contains every WAL-covered ingest — and only *then*
+        already contains every WAL-covered ingest, under the loaded
+        artifact's manifest ``extra`` metadata — and only *then*
         truncates the log, so a crash at any point during compaction
         still recovers (worst case: the old artifact plus a full log).
         A restarted :meth:`from_artifact` merges ``pool/pool.json`` with
@@ -649,8 +672,9 @@ class ServingIndex:
         loaded from. Returns a summary dict (records compacted, pool
         size, directory).
         """
-        from repro.serve.artifacts import (MANIFEST_NAME, _refresh_manifest,
-                                           save_pipeline, save_pool)
+        from repro.serve.artifacts import (MANIFEST_NAME, _manifest_extra,
+                                           _refresh_manifest, save_pipeline,
+                                           save_pool)
         with self._serve_lock:
             if self._wal is None:
                 raise WALError("compact() needs an attached write-ahead log "
@@ -665,7 +689,11 @@ class ServingIndex:
                            pool=self.num_papers):
                 save_pool(target, self._papers)
                 if not self.degraded:
+                    # Keep the artifact's free-form metadata (e.g. the
+                    # corpus scale/seed the CLI reloads the task from).
+                    extra = _manifest_extra(self._artifact_dir or target)
                     save_pipeline(self._recommender, target,
+                                  extra_metadata=extra,
                                   author_affiliations=self._affiliations)
                 elif (target / MANIFEST_NAME).exists():
                     _refresh_manifest(target)
@@ -734,6 +762,15 @@ class ServingIndex:
                     obs.event("serve.degraded", reason="unknown_entity")
             self._profiles[user_id] = (papers, profile)
             self._drop_cached_user(user_id)
+
+    def _cache_hit(self, cache_key: tuple) -> "tuple[str, ...] | None":
+        """Cached ids for *cache_key*, counting the hit (lock held)."""
+        cached = self._cache.get(cache_key)
+        if cached is not None:
+            self._cache.move_to_end(cache_key)
+            self.cache_hits += 1
+            obs.count("serve.cache", outcome="hit")
+        return cached
 
     def invalidate(self) -> None:
         """Explicitly drop every cached query result."""
@@ -825,44 +862,32 @@ class ServingIndex:
 
         *user* is either a registered user id or an ad-hoc sequence of
         the user's papers. Results are LRU-cached per ``(user, k)`` until
-        the pool changes or :meth:`invalidate` is called.
+        the pool changes or :meth:`invalidate` is called. A one-request
+        :meth:`batch_top_k`: raises :class:`KeyError` for an unregistered
+        user and :class:`ValueError` for ``k < 1`` or an empty paper list.
+        Concurrent ``top_k`` calls run one at a time; ingestion,
+        registration and scheduler batches do not wait for them.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        user_key, papers, profile = self._resolve_user(user)
-        obs.count("serve.queries")
         # A request span (not a plain trace): allocates the trace_id
         # every nested span, degradation event, and metric exemplar
         # carries, and offers the finished span tree to the exemplar
         # reservoir. Lock wait is inside the span: client-visible latency.
         with obs.request("serve.query", k=int(k)) as span:
-            with self._serve_lock:
-                cache_key = (user_key, int(k))
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    self._cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                    outcome = "hit"
-                    obs.count("serve.cache", outcome="hit")
-                    result = list(cached)
-                else:
-                    self.cache_misses += 1
-                    outcome = "miss"
-                    obs.count("serve.cache", outcome="miss")
-                    result = self._query(papers, profile, k)
-                    if not self._query_fault:
-                        # A result produced through the fault-degradation path
-                        # is never cached: the next identical query should get
-                        # the healthy ranking back as soon as the fault clears.
-                        self._cache[cache_key] = tuple(result)
-                        while len(self._cache) > self.cache_size:
-                            self._cache.popitem(last=False)
-            span.set("cache", outcome)
+            # Unbatched callers rank one at a time: a query's matmuls
+            # already spread over every BLAS thread, so overlapping
+            # queries only oversubscribe the cores, and a caller that
+            # waited here finds a concurrent identical query's answer
+            # in the cache instead of scoring it again.
+            with self._top_k_lock:
+                result = self.batch_top_k([(user, k)])[0]
+            if result.error is not None:
+                raise result.error
+            span.set("cache", result.cache)
         # Split by cache outcome: hit-path latency is microseconds and
         # would otherwise mask the miss-path tail in the merged p99.
         self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache=outcome)
-        return result
+                              trace_id=span.trace_id, cache=result.cache)
+        return result.ids
 
     def cached_top_k(self, user: "str | Sequence[Paper]",
                      k: int = 10) -> BatchQueryResult | None:
@@ -870,10 +895,10 @@ class ServingIndex:
 
         The scheduler's admission fast path: a hit resolves without
         queueing (and without a batch slot), counted exactly like a
-        serial hit. A miss — or an invalid request, which the batch path
-        reports per-request — touches **no** counters and returns
-        ``None``, leaving the miss accounting to whichever path actually
-        computes the answer.
+        :meth:`batch_top_k` hit. A miss — or an invalid request, which
+        the batch path reports per-request — touches **no** counters and
+        returns ``None``, leaving the miss accounting to whichever path
+        actually computes the answer.
         """
         if k < 1:
             return None
@@ -883,13 +908,10 @@ class ServingIndex:
             return None
         start = time.perf_counter()
         with self._serve_lock:
-            cached = self._cache.get((user_key, int(k)))
+            cached = self._cache_hit((user_key, int(k)))
             if cached is None:
                 return None
-            self._cache.move_to_end((user_key, int(k)))
-            self.cache_hits += 1
             obs.count("serve.queries")
-            obs.count("serve.cache", outcome="hit")
             version = self._pool_version
             ids = list(cached)
         self._observe_latency("serve.query", time.perf_counter() - start,
@@ -916,7 +938,8 @@ class ServingIndex:
                 obs.count("serve.degraded", reason="shed")
                 obs.event("serve.degraded", reason="shed")
                 version = self._pool_version
-                ids = self._fallback_rank(papers, k) if self._papers else []
+                ids = (_tfidf_rank(*self._fallback(), self._ids, papers, k)
+                       if self._papers else [])
             span.set("cache", "shed")
         self._observe_latency("serve.query", span.duration,
                               trace_id=span.trace_id, cache="shed")
@@ -927,20 +950,22 @@ class ServingIndex:
                     ) -> list[BatchQueryResult]:
         """Answer several ``(user, k)`` requests in one coalesced pass.
 
-        The micro-batching rank entry point. Three phases:
+        The index's one rank path (:meth:`top_k` is a batch of one).
+        Three phases:
 
         1. **Admit** (under ``_serve_lock``): validate and resolve each
            request, serve cache hits, deduplicate the misses into jobs
            (one per distinct ``(user, k)``), resolve interest matrices,
            and — under ``index="ivf"`` — gather each job's candidate
-           lists. Everything that reads mutable pool state happens here.
+           lists. Everything that reads mutable pool state happens here,
+           including the snapshot (matrix, novelty, ids) scoring uses.
         2. **Score** (lock *released*): pure-numpy ranking over the
-           influence snapshot — one blockwise pass shared by every
-           exact job (:func:`repro.serve.ann.batch_exact_top_k`),
-           per-job candidate scoring for IVF. Concurrent ingestion and
-           other batches proceed while this runs; scores are
-           bit-identical to ranking each request alone because per-query
-           matmul shapes are preserved.
+           snapshot — one blockwise pass shared by every exact job
+           (:func:`repro.serve.ann.batch_exact_top_k`), per-job
+           candidate scoring for IVF. Concurrent ingestion and other
+           batches proceed while this runs; scores are bit-identical to
+           ranking each request alone because per-query matmul shapes
+           are preserved.
         3. **Publish** (re-locked): fill the LRU cache — skipped when
            the pool version moved under the batch (the results are
            still *valid* for the stamped version, just not cacheable)
@@ -957,6 +982,10 @@ class ServingIndex:
         cfg = None
         with self._serve_lock:
             version = self._pool_version
+            # Positions index the matrices snapshotted below; a hot swap
+            # (_adopt) during scoring replaces self._ids, so map them
+            # through the ids of this same pool state.
+            ids = self._ids
             empty = not self._papers
             for i, (user, k) in enumerate(requests):
                 try:
@@ -969,11 +998,8 @@ class ServingIndex:
                     continue
                 obs.count("serve.queries")
                 cache_key = (user_key, int(k))
-                cached = self._cache.get(cache_key)
+                cached = self._cache_hit(cache_key)
                 if cached is not None:
-                    self._cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                    obs.count("serve.cache", outcome="hit")
                     results[i] = BatchQueryResult(
                         ids=list(cached), scores=None,
                         pool_version=version, cache="hit")
@@ -1009,9 +1035,8 @@ class ServingIndex:
                             job.interest = interest
                         except InjectedFault:
                             job.mode, job.reason = "fallback", "query_fault"
-                            job.fault = True
                 if any(job.mode == "fallback" for job in pending):
-                    fallback = self._fallback_locked()
+                    fallback = self._fallback()
                 rank_jobs = [j for j in pending if j.mode == "rank"]
                 if rank_jobs:
                     # `_influence` views the filled buffer prefix; rows
@@ -1029,10 +1054,8 @@ class ServingIndex:
                                 job.interest, cfg.max_pool_mix, self.nprobe)
 
         # Phase 2 — lock released: pure-numpy scoring over snapshots.
-        if pending and empty:
-            for job in pending:
-                job.ids = []
-        elif pending:
+        # (Jobs against an empty pool keep their empty ``ids``.)
+        if pending and not empty:
             for job in pending:
                 if job.mode != "fallback":
                     continue
@@ -1040,13 +1063,7 @@ class ServingIndex:
                 obs.count("serve.degraded", n, reason=job.reason)
                 for _ in range(n):
                     obs.event("serve.degraded", reason=job.reason)
-                tfidf, fb_matrix = fallback
-                profile_vec = np.mean([tfidf.transform(p)
-                                       for p in job.papers], axis=0)
-                scores = fb_matrix @ profile_vec
-                order = np.argsort(-scores, kind="mergesort")[:job.k]
-                job.ids = [self._ids[int(i)] for i in order]
-            rank_jobs = [j for j in pending if j.mode == "rank"]
+                job.ids = _tfidf_rank(*fallback, ids, job.papers, job.k)
             if rank_jobs and self.index_kind == "ivf":
                 for job in rank_jobs:
                     positions, scores = rank_candidates(
@@ -1054,7 +1071,7 @@ class ServingIndex:
                         mix=cfg.max_pool_mix, novelty=novelty,
                         novelty_weight=cfg.influence_weight,
                         block_size=self.block_size)
-                    job.ids = [self._ids[int(p)] for p in positions]
+                    job.ids = [ids[int(p)] for p in positions]
                     job.scores = scores
                     n = len(job.positions)
                     obs.count("serve.ann.lists_probed",
@@ -1071,7 +1088,7 @@ class ServingIndex:
                     novelty=novelty, novelty_weight=cfg.influence_weight,
                     block_size=self.block_size)
                 for job, (positions, scores) in zip(rank_jobs, ranked):
-                    job.ids = [self._ids[int(p)] for p in positions]
+                    job.ids = [ids[int(p)] for p in positions]
                     job.scores = scores
 
         # Phase 3 — publish: cache only when the pool did not move.
@@ -1079,7 +1096,10 @@ class ServingIndex:
             with self._serve_lock:
                 fresh = self._pool_version == version
                 for job in pending:
-                    if fresh and not job.fault:
+                    # A fault-degraded answer is never cached: the next
+                    # identical query gets the model ranking back as
+                    # soon as the fault clears.
+                    if fresh and job.reason != "query_fault":
                         self._cache[job.cache_key] = tuple(job.ids)
                         while len(self._cache) > self.cache_size:
                             self._cache.popitem(last=False)
@@ -1090,63 +1110,6 @@ class ServingIndex:
                     pool_version=version, cache="miss",
                     degraded_reason=job.reason)
         return results  # type: ignore[return-value]
-
-    def _query(self, user_papers: list[Paper],
-               profile: np.ndarray | None, k: int) -> list[str]:
-        self._query_fault = False
-        if not self._papers:
-            return []
-        if self.degraded:
-            obs.count("serve.degraded", reason="no_model")
-            obs.event("serve.degraded", reason="no_model")
-            return self._fallback_rank(user_papers, k)
-        try:
-            faults.maybe_fail("serve.query")
-            interest = profile
-            if interest is None:
-                try:
-                    interest = self._recommender.model.interest_vectors(
-                        [p.id for p in user_papers]).data
-                except GraphError:
-                    obs.count("serve.degraded", reason="unknown_entity")
-                    obs.event("serve.degraded", reason="unknown_entity")
-                    return self._fallback_rank(user_papers, k)
-            if self.index_kind == "ivf":
-                return self._ivf_top_k(interest, k)
-            return self._blockwise_top_k(interest, k)
-        except InjectedFault:
-            # Per-query degradation: a fault on the model path answers
-            # through the TF-IDF fallback instead of erroring out.
-            self._query_fault = True
-            obs.count("serve.degraded", reason="query_fault")
-            obs.event("serve.degraded", reason="query_fault")
-            return self._fallback_rank(user_papers, k)
-
-    def _blockwise_top_k(self, interest: np.ndarray, k: int) -> list[str]:
-        assert self._influence is not None
-        cfg = self._recommender.config
-        novelty = (self._novelty_scores() if cfg.influence_weight > 0
-                   else None)
-        positions = exact_top_k(interest, self._influence, k,
-                                mix=cfg.max_pool_mix, novelty=novelty,
-                                novelty_weight=cfg.influence_weight,
-                                block_size=self.block_size)
-        return [self._ids[int(position)] for position in positions]
-
-    def _ivf_top_k(self, interest: np.ndarray, k: int) -> list[str]:
-        assert self._influence is not None
-        ann = self._ensure_ann()
-        cfg = self._recommender.config
-        novelty = (self._novelty_scores() if cfg.influence_weight > 0
-                   else None)
-        positions, stats = ann.search(
-            interest, self._influence, k, mix=cfg.max_pool_mix,
-            novelty=novelty, novelty_weight=cfg.influence_weight,
-            nprobe=self.nprobe, block_size=self.block_size)
-        obs.count("serve.ann.lists_probed", stats.lists_probed)
-        obs.count("serve.ann.candidates_scanned", stats.candidates_scanned)
-        obs.observe("serve.ann.scan_fraction", stats.scan_fraction)
-        return [self._ids[int(position)] for position in positions]
 
     def _ensure_ann(self) -> IVFIndex:
         """The fitted coarse quantizer, clustering lazily on first use."""
@@ -1193,33 +1156,28 @@ class ServingIndex:
     # ------------------------------------------------------------------
     # Degraded path
     # ------------------------------------------------------------------
-    def _fallback_rank(self, user_papers: list[Paper], k: int) -> list[str]:
-        tfidf, matrix = self._fallback()
-        profile = np.mean([tfidf.transform(p) for p in user_papers], axis=0)
-        scores = matrix @ profile
-        order = np.argsort(-scores, kind="mergesort")[:k]
-        return [self._ids[i] for i in order]
-
     def _fallback(self) -> tuple[TfIdfIndex, np.ndarray]:
-        # Reentrant: already held when reached via top_k(); taken fresh
-        # when a health probe rebuilds the lazy index under live traffic.
-        with self._serve_lock:
-            return self._fallback_locked()
+        """The TF-IDF fallback ``(index, pool matrix)``, built lazily.
 
-    def _fallback_locked(self) -> tuple[TfIdfIndex, np.ndarray]:
-        if self._fallback_tfidf is None:
-            # Vocabulary from the historical slice when a model is
-            # around (matches the offline content baseline); from the
-            # pool itself when fully degraded.
-            if self._recommender is not None and self._recommender._train_by_id:
-                corpus = list(self._recommender._train_by_id.values())
-            else:
-                corpus = self._papers
-            self._fallback_tfidf = TfIdfIndex().fit(corpus)
-        if self._fallback_matrix is None:
-            self._fallback_matrix = self._fallback_tfidf.transform_many(
-                self._papers)
-        return self._fallback_tfidf, self._fallback_matrix
+        Reentrant: already held when reached via :meth:`batch_top_k`;
+        taken fresh when a health probe rebuilds the lazy index under
+        live traffic.
+        """
+        with self._serve_lock:
+            if self._fallback_tfidf is None:
+                # Vocabulary from the historical slice when a model is
+                # around (matches the offline content baseline); from
+                # the pool itself when fully degraded.
+                rec = self._recommender
+                if rec is not None and rec._train_by_id:
+                    corpus = list(rec._train_by_id.values())
+                else:
+                    corpus = self._papers
+                self._fallback_tfidf = TfIdfIndex().fit(corpus)
+            if self._fallback_matrix is None:
+                self._fallback_matrix = self._fallback_tfidf.transform_many(
+                    self._papers)
+            return self._fallback_tfidf, self._fallback_matrix
 
     # ------------------------------------------------------------------
     # Health and self-healing

@@ -1,19 +1,19 @@
 """Micro-batching request scheduler with admission control.
 
-One-query-at-a-time :meth:`ServingIndex.top_k` serialises every request
-behind ``_serve_lock`` — the dominant serving bottleneck once the
-closed-loop load generator (PR 6) pushes concurrent traffic.
-:class:`BatchScheduler` coalesces concurrent queries into single
-batched matrix passes on the rank hot path (the ``BatchPairScorer``
-pattern applied to serving): requests admit into a bounded queue, a
-background flusher drains them in batches of up to ``max_batch`` —
-flushing early the moment a batch fills, and no later than
-``max_wait_ms`` after the oldest request arrived — and each batch runs
-through :meth:`ServingIndex.batch_top_k`, which releases the serving
-lock during the pure-numpy scoring phase. Batched answers are
-bit-identical to serial execution (ids *and* scores); the equivalence
-suite in ``tests/serve/test_scheduler.py`` proves it rather than
-assuming it.
+One-query-at-a-time :meth:`ServingIndex.top_k` runs one rank pass per
+request, so every query pays its own admission, lock round trips, pool
+block slicing and Python dispatch. :class:`BatchScheduler` coalesces
+concurrent queries into single batched matrix passes on the rank hot
+path (the ``BatchPairScorer`` pattern applied to serving): requests
+admit into a bounded queue, a background flusher drains them in
+batches of up to ``max_batch`` — flushing early the moment a batch
+fills, and no later than ``max_wait_ms`` after the oldest request
+arrived — and each batch runs through :meth:`ServingIndex.batch_top_k`,
+the index's one rank path (``top_k`` is a batch of one), which releases
+the serving lock during the pure-numpy scoring phase. Batched answers
+are bit-identical to ranking each request alone (ids *and* scores); the
+equivalence suite in ``tests/serve/test_scheduler.py`` proves it rather
+than assuming it.
 
 Admission control is three-tiered, cheapest first:
 
@@ -448,11 +448,11 @@ class BatchScheduler:
     def quiesce(self, timeout: float = 30.0):
         """Drain barrier: no request is mid-batch while the body runs.
 
-        Needed because :meth:`ServingIndex.batch_top_k` scores *outside*
-        the serving lock and re-reads index internals (``_ids``) at
-        publish time — an index whose internals are swapped mid-batch
-        could pair old-matrix positions with new ids. Holding
-        ``_serve_lock`` alone cannot exclude that; the barrier can.
+        :meth:`ServingIndex.batch_top_k` scores *outside* the serving
+        lock over a snapshot (matrix, novelty, ids) taken at admission,
+        so a swap mid-batch cannot tear an answer; the barrier is what
+        lets the daemon's shutdown drain every admitted request and a
+        hot-swap cutover hold new misses until the new artifact serves.
 
         On entry: new cache-missing submits park (un-failed, un-shed)
         until the barrier lifts; the flusher drains the already-admitted

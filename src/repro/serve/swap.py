@@ -22,12 +22,13 @@ that with the standard blue/green recipe, entirely in process:
    probe). Process-global SLO state is deliberately ignored — it
    reflects the *live* traffic history, not the candidate.
 4. **Cutover** — only if the canary passes: under the scheduler's
-   drain barrier (:meth:`BatchScheduler.quiesce`, so no batch is
-   mid-score against internals about to be replaced) and the serving
-   lock, papers and users that arrived *during* steps 1–3 are replayed
-   onto the candidate, then the candidate's state is transplanted into
-   the live index object in place (:meth:`ServingIndex._adopt`) —
-   callers never re-point at anything.
+   drain barrier (:meth:`BatchScheduler.quiesce`, so batches admitted
+   against the incumbent finish before it is replaced and new misses
+   wait for the candidate) and the serving lock, papers and users that
+   arrived *during* steps 1–3 are replayed onto the candidate, then the
+   candidate's state is transplanted into the live index object in
+   place (:meth:`ServingIndex._adopt`) — callers never re-point at
+   anything.
 5. **Rollback** is the default, not an action: a failed canary simply
    leaves the incumbent untouched, stamped ``outcome="rolled_back"``
    on the ``serve.swap`` counter and a trace-carrying ``obs.event``.

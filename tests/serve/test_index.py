@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.serve import ServingIndex, load_pipeline
+from repro.serve import index as index_module
+from repro.serve.ann import exact_top_k
 
 
 @pytest.fixture
@@ -219,3 +223,120 @@ class TestDegradation:
         via = ServingIndex.from_artifact(artifact[0], papers=pool)
         papers = list(user.train_papers)
         assert direct.top_k(papers, k=15) == via.top_k(papers, k=15)
+
+
+class TestSingleRankPath:
+    """``top_k`` is a one-request ``batch_top_k``: it scores off the lock."""
+
+    @pytest.mark.parametrize("entry", ["batch_top_k", "top_k"])
+    def test_hot_swap_during_scoring_keeps_pre_swap_ids(
+            self, artifact, pool, user, monkeypatch, entry):
+        index = ServingIndex.from_artifact(artifact[0], papers=pool)
+        index.register_user(user.author_id, list(user.train_papers))
+        # Same papers, reversed order: a position in the pre-swap matrix
+        # names a different paper in the donor's id list.
+        donor = ServingIndex.from_artifact(artifact[0], papers=pool[::-1])
+        k = 10
+        cfg = index._recommender.config
+        novelty = (index._novelty_scores() if cfg.influence_weight > 0
+                   else None)
+        pre_ids = index.paper_ids
+        positions = exact_top_k(
+            index._profiles[user.author_id][1], index._influence, k,
+            mix=cfg.max_pool_mix, novelty=novelty,
+            novelty_weight=cfg.influence_weight, block_size=index.block_size)
+        want = [pre_ids[int(p)] for p in positions]
+
+        swapped = []
+        original = index_module.batch_exact_top_k
+
+        def swap_then_score(*args, **kwargs):
+            index._adopt(donor)
+            swapped.append(True)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "batch_exact_top_k",
+                            swap_then_score)
+        if entry == "top_k":
+            got = index.top_k(user.author_id, k)
+        else:
+            got = index.batch_top_k([(user.author_id, k)])[0].ids
+        assert swapped and index.paper_ids == pre_ids[::-1]
+        assert got == want
+
+    def test_top_k_releases_the_serve_lock_while_scoring(
+            self, index, user, serve_task, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+
+        def parked(original):
+            def wrapper(*args, **kwargs):
+                entered.set()
+                release.wait(30)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("exact_top_k", "batch_exact_top_k"):
+            monkeypatch.setattr(index_module, name,
+                                parked(getattr(index_module, name)))
+        answers = []
+        query = threading.Thread(target=lambda: answers.append(
+            index.top_k(list(user.train_papers), 5)))
+        other = serve_task.users[1]
+        register = threading.Thread(target=index.register_user, args=(
+            other.author_id, list(other.train_papers)))
+        query.start()
+        try:
+            assert entered.wait(30), "top_k never reached scoring"
+            register.start()
+            register.join(5)
+            assert not register.is_alive(), \
+                "register_user waited on a top_k that was scoring"
+        finally:
+            release.set()
+            query.join(30)
+            if register.ident is not None:
+                register.join(30)
+        assert not query.is_alive() and not register.is_alive()
+        assert len(answers) == 1 and len(answers[0]) == 5
+        assert other.author_id in index._profiles
+
+    def test_identical_concurrent_misses_are_scored_once(
+            self, index, user, monkeypatch, obs_enabled):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+        original = index_module.batch_exact_top_k
+
+        def parked(*args, **kwargs):
+            calls.append(1)
+            entered.set()
+            release.wait(30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "batch_exact_top_k", parked)
+        papers = list(user.train_papers)
+        answers = [None, None]
+
+        def ask(slot):
+            answers[slot] = index.top_k(papers, 5)
+
+        first = threading.Thread(target=ask, args=(0,))
+        second = threading.Thread(target=ask, args=(1,))
+        first.start()
+        try:
+            assert entered.wait(30), "first top_k never reached scoring"
+            second.start()
+            # Let the second request reach admission while the first is
+            # still scoring — unless it queues behind the first.
+            queries = obs.get_registry().get("serve.queries")
+            deadline = time.monotonic() + 0.5
+            while queries.value < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        finally:
+            release.set()
+            first.join(30)
+            if second.ident is not None:
+                second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(calls) == 1
+        assert answers[0] == answers[1] and len(answers[0]) == 5
+        assert (index.cache_hits, index.cache_misses) == (1, 1)

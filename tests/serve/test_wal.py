@@ -23,7 +23,7 @@ import pytest
 from repro import obs
 from repro.errors import InjectedFault, WALError
 from repro.resilience import faults
-from repro.serve import ServingIndex, WriteAheadLog
+from repro.serve import ServingIndex, WriteAheadLog, save_pipeline
 from repro.serve.wal import WALRecord
 
 
@@ -241,6 +241,20 @@ class TestCrashRecovery:
 
         # The artifact it re-saved still verifies clean.
         assert restarted.health(probe=False)["checks"]["artifact"]["ok"]
+
+    def test_compact_keeps_the_manifest_extra(
+            self, serve_task, fitted_recommender, tmp_path):
+        directory = tmp_path / "pipeline"
+        extra = {"scale": 0.3, "seed": 7}
+        save_pipeline(fitted_recommender, directory, corpus=serve_task.corpus,
+                      extra_metadata=extra)
+        live = ServingIndex.from_artifact(
+            directory, papers=list(serve_task.new_papers),
+            wal=WriteAheadLog(tmp_path / "ingest.wal"))
+        live.add_paper(_fresh_papers(serve_task, 1, "extra")[0])
+        live.compact()
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["extra"] == extra
 
     def test_replay_is_idempotent_for_known_papers(self, serve_task,
                                                    tmp_path, obs_enabled):
