@@ -185,8 +185,7 @@ class NPRecRecommender(Recommender):
             obs.count("nprec.recommend.queries")
             obs.observe("nprec.recommend.candidate_set_size", len(candidates))
             ranked = self._rank(user_papers, candidates)
-        obs.observe("nprec.recommend.rank.duration_seconds", span.duration)
-        obs.observe_quantile("nprec.recommend.rank.latency", span.duration)
+        obs.observe("nprec.recommend.rank.latency", span.duration)
         return ranked
 
     def _rank(self, user_papers: Sequence[Paper],

@@ -152,8 +152,7 @@ class NPRecTrainer:
             span.set("accuracy", accuracy)
         obs.observe("nprec.train.epoch_loss", mean_loss)
         obs.observe("nprec.train.epoch_accuracy", accuracy)
-        obs.observe("nprec.train.epoch_duration_seconds", span.duration)
-        obs.observe_quantile("nprec.train.epoch.latency", span.duration)
+        obs.observe("nprec.train.epoch.latency", span.duration)
         return mean_loss, accuracy
 
     def _maybe_resume(self, rng: np.random.Generator, order: np.ndarray,

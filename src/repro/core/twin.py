@@ -237,8 +237,7 @@ class TwinNetworkTrainer:
             span.set("rule_agreement", agreement)
         obs.observe("sem.twin.epoch_hinge_loss", mean_loss)
         obs.observe("sem.twin.epoch_rule_agreement", agreement)
-        obs.observe("sem.twin.epoch_duration_seconds", span.duration)
-        obs.observe_quantile("sem.twin.epoch.latency", span.duration)
+        obs.observe("sem.twin.epoch.latency", span.duration)
         return mean_loss, violations / len(triplets)
 
     def _maybe_resume(self, rng: np.random.Generator, order: np.ndarray,

@@ -107,8 +107,8 @@ def run_experiment(experiment_id: str, **kwargs) -> "ResultTable | list[ResultTa
     """Run one registered experiment by id.
 
     Every run is wrapped in an ``experiment.<id>`` span and its duration
-    is recorded under the ``experiment.duration_seconds`` histogram
-    (labelled by experiment id), so a captured trace pairs each
+    is recorded under the ``experiment.duration_seconds`` quantile
+    family (labelled by experiment id), so a captured trace pairs each
     :class:`ResultTable` with the timing that produced it.
     """
     from repro.experiments import _load_all

@@ -309,8 +309,8 @@ class LoadRunner:
                 self.summary.ops_scrapes += 1
                 if outcome != "ok":
                     self.summary.ops_scrape_errors += 1
-            obs.observe_quantile("loadgen.ops_scrape.latency", latency,
-                                 endpoint=endpoint)
+            obs.observe("loadgen.ops_scrape.latency", latency,
+                        endpoint=endpoint)
             obs.count("loadgen.ops_scrape", endpoint=endpoint,
                       outcome=outcome)
 

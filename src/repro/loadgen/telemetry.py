@@ -1,9 +1,10 @@
 """Windowed time-series telemetry for live load runs.
 
 :class:`WindowedTelemetry` buckets request completions into per-second
-bins held in a bounded ring: each bin tracks the count, error and
-degraded tallies, and its own small P² sketch pair (p50/p95) so the
-run report can show *latency over time*, not just end-of-run
+bins held in a bounded ring: each bin tracks error and degraded
+tallies beside its own :class:`~repro.obs.quantiles.Quantile` (count,
+mean, max and a p50/p95 P² pair, kept out of the registry) so the run
+report can show *latency over time*, not just end-of-run
 aggregates — the difference between "p99 was 80ms" and "p99 was 8ms
 until the cache invalidation storm at t=41s".
 
@@ -20,7 +21,7 @@ import threading
 import time
 from typing import Callable
 
-from repro.obs.quantiles import P2Quantile
+from repro.obs.quantiles import Quantile
 
 #: Quantiles each per-second bin sketches.
 BIN_QUANTILES = (0.5, 0.95)
@@ -29,38 +30,32 @@ BIN_QUANTILES = (0.5, 0.95)
 class _Bin:
     """One second of load-run telemetry."""
 
-    __slots__ = ("second", "count", "errors", "degraded", "sum", "max",
-                 "sketches")
+    __slots__ = ("second", "errors", "degraded", "latency")
 
     def __init__(self, second: int) -> None:
         self.second = second
-        self.count = 0
         self.errors = 0
         self.degraded = 0
-        self.sum = 0.0
-        self.max = 0.0
-        self.sketches = tuple(P2Quantile(q) for q in BIN_QUANTILES)
+        self.latency = Quantile("loadgen.bin.latency",
+                                quantiles=BIN_QUANTILES)
 
     def record(self, latency: float, error: bool, degraded: bool) -> None:
-        self.count += 1
         self.errors += int(error)
         self.degraded += int(degraded)
-        self.sum += latency
-        self.max = max(self.max, latency)
-        for sketch in self.sketches:
-            sketch.observe(latency)
+        self.latency.observe(latency)
 
     def snapshot(self) -> dict[str, object]:
+        latency = self.latency
         snap: dict[str, object] = {
             "second": self.second,
-            "count": self.count,
+            "count": latency.count,
             "errors": self.errors,
             "degraded": self.degraded,
-            "mean": self.sum / self.count if self.count else None,
-            "max": self.max if self.count else None,
+            "mean": latency.mean if latency.count else None,
+            "max": latency.max if latency.count else None,
         }
-        for sketch in self.sketches:
-            snap[f"p{format(sketch.q * 100, 'g')}"] = sketch.estimate
+        for q, estimate in latency.estimates().items():
+            snap[f"p{format(q * 100, 'g')}"] = estimate
         return snap
 
 

@@ -23,7 +23,11 @@ Instrumenting code::
         span.set("hits", hits)
     obs.count("my.dropped", n_dropped, reason="threshold")
     obs.gauge("my.queue_depth", depth)
-    obs.observe("my.latency_seconds", seconds)
+    obs.observe("my.latency", seconds)
+
+``observe`` is the one distribution recorder: every latency, loss or
+size lands in a :class:`Quantile` (count/sum/min/max plus P² p50/p90/p99
+estimates), recorded once.
 
 The metric/span name vocabulary used by the library itself is documented
 in ``docs/API.md`` (section "repro.obs").
@@ -67,13 +71,7 @@ from repro.obs.flightrec import (
     process_snapshot,
 )
 from repro.obs.server import ObsServer
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, Quantile
 from repro.obs.tracing import (
     SpanRecord,
@@ -87,10 +85,10 @@ __all__ = [
     "configure", "is_enabled", "is_profiling", "get_registry", "get_tracer",
     "get_exemplars", "ObsState",
     "trace", "traced", "request", "count", "gauge", "observe",
-    "observe_quantile", "event", "profile",
+    "event", "profile",
     "current_trace_id", "new_trace_id",
-    "Counter", "Gauge", "Histogram", "Quantile", "P2Quantile",
-    "MetricsRegistry", "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
+    "Counter", "Gauge", "Quantile", "P2Quantile",
+    "MetricsRegistry", "DEFAULT_QUANTILES",
     "Tracer", "SpanRecord", "SpanStats",
     "Exemplar", "ExemplarReservoir",
     "write_jsonl", "read_jsonl", "events", "prometheus_text",
@@ -246,7 +244,7 @@ def request(name: str, **attrs: object) -> _RequestContext | _NoopContext:
 
     Like :func:`trace`, but additionally allocates a request trace ID,
     propagates it to everything recorded inside (spans, :func:`event`
-    lines, histogram/quantile exemplars), and offers the request's full
+    lines, quantile exemplars), and offers the request's full
     span tree to the exemplar reservoir on exit. The yielded span's
     ``trace_id`` attribute is the allocated ID. A ``request`` opened
     inside another request joins the enclosing trace (same ID, one
@@ -312,29 +310,15 @@ def gauge(name: str, value: float, **labels: str) -> None:
 
 def observe(name: str, value: float, *, trace_id: str | None = None,
             **labels: str) -> None:
-    """Record *value* into the histogram *name* (+labels); no-op when off.
+    """Record *value* into the quantile family *name* (+labels).
 
-    ``trace_id`` pins the max-observation exemplar to a specific request
-    instead of the ambient context — needed when the sample (e.g. a
-    request span's ``duration``) is only known *after* the request
-    context has exited and unbound the ambient ID.
-    """
-    state = _config._STATE
-    if state.enabled:
-        state.registry.histogram(name, **labels).observe(
-            value, trace_id=trace_id)
-
-
-def observe_quantile(name: str, value: float, *,
-                     trace_id: str | None = None, **labels: str) -> None:
-    """Record *value* into the streaming-quantile family *name* (+labels).
-
-    The P² sketch behind each child keeps p50/p90/p99 estimates in O(1)
-    memory (see :mod:`repro.obs.quantiles`); no-op when observability is
-    off. Latency call sites record into both a bucket histogram (for
-    Prometheus-style aggregation) and a quantile family (for exact-ish
-    tail percentiles in run snapshots and SLO checks). ``trace_id`` pins
-    the exemplar to a specific request (see :func:`observe`).
+    The P² sketch behind each child keeps count/sum/min/max and
+    p50/p90/p99 estimates in O(1) memory (see :mod:`repro.obs.quantiles`);
+    no-op when observability is off. ``trace_id`` pins the
+    max-observation exemplar to a specific request instead of the
+    ambient context — needed when the sample (e.g. a request span's
+    ``duration``) is only known *after* the request context has exited
+    and unbound the ambient ID.
     """
     state = _config._STATE
     if state.enabled:
@@ -348,7 +332,7 @@ def profile(stage: str, top_n: int = 5, **attrs: object):
     Opens a span named ``profile.<stage>`` carrying ``alloc_net_kb``,
     ``alloc_peak_kb``, and the top-*top_n* allocation sites as span
     attributes, and records the same numbers into the
-    ``profile.net_alloc_kb``/``profile.peak_alloc_kb`` histograms
+    ``profile.net_alloc_kb``/``profile.peak_alloc_kb`` quantile families
     (labelled ``stage=...``). Requires *both* ``configure(enabled=True)``
     and ``configure(profiling=True)``; otherwise this is the same shared
     no-op context as a disabled :func:`trace`.

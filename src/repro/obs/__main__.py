@@ -14,7 +14,9 @@ Commands
     Exit 1 when any gated metric regressed beyond tolerance — the CI
     perf gate. Counters/gauges use ``--tolerance`` (default 10%); wall
     clock and allocation keys use the looser ``--timing-tolerance``
-    (default 500%, machines differ).
+    (default 500%, machines differ). Gated baseline keys the run does
+    not record are listed on a ``missing:`` line; they never fail the
+    gate.
 """
 
 from __future__ import annotations
@@ -77,17 +79,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     regressions = runs.check_runs(baseline, current,
                                   tolerance=args.tolerance,
                                   timing_tolerance=args.timing_tolerance)
-    compared = sum(1 for d in runs.diff_runs(baseline, current)
-                   if d.direction is not None and d.baseline is not None
-                   and d.current is not None)
+    gated = [d for d in runs.diff_runs(baseline, current)
+             if d.direction is not None and d.baseline is not None]
+    compared = sum(1 for d in gated if d.current is not None)
+    # A gated baseline key the run no longer records cannot regress, so
+    # name it instead of letting it drop out of the count unseen.
+    missing = [d.key for d in gated if d.current is None]
     if regressions:
         print(f"REGRESSION: {len(regressions)} gated metric(s) worsened "
               f"beyond tolerance (of {compared} compared):")
+    else:
+        print(f"ok: {compared} gated metric(s) within tolerance "
+              f"(tolerance={args.tolerance:g}, "
+              f"timing-tolerance={args.timing_tolerance:g})")
+    if missing:
+        print(f"missing: {len(missing)} gated baseline metric(s) not in "
+              f"the run: {', '.join(missing)}")
+    if regressions:
         print(runs.render_diff(regressions))
         return 1
-    print(f"ok: {compared} gated metric(s) within tolerance "
-          f"(tolerance={args.tolerance:g}, "
-          f"timing-tolerance={args.timing_tolerance:g})")
     return 0
 
 

@@ -19,7 +19,7 @@ import pathlib
 import re
 
 from repro.obs import config
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.quantiles import Quantile
 from repro.obs.tracing import Tracer
 
@@ -108,20 +108,6 @@ def prometheus_text(registry: MetricsRegistry | None = None) -> str:
                     f"{name}"
                     f"{_prom_labels(metric.labels, {'quantile': format(q, 'g')})}"
                     f" {value}")
-            lines.append(f"{name}_sum{_prom_labels(metric.labels)} "
-                         f"{_prom_value(metric.sum)}")
-            lines.append(f"{name}_count{_prom_labels(metric.labels)} "
-                         f"{metric.count}")
-        elif isinstance(metric, Histogram):
-            # bucket_counts are already cumulative (Prometheus `le` style).
-            for bound, count in zip(metric.buckets, metric.bucket_counts):
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_prom_labels(metric.labels, {'le': _prom_value(bound)})}"
-                    f" {count}")
-            lines.append(f"{name}_bucket"
-                         f"{_prom_labels(metric.labels, {'le': '+Inf'})}"
-                         f" {metric.count}")
             lines.append(f"{name}_sum{_prom_labels(metric.labels)} "
                          f"{_prom_value(metric.sum)}")
             lines.append(f"{name}_count{_prom_labels(metric.labels)} "
@@ -348,19 +334,18 @@ def _metric_line(event: dict[str, object]) -> str:
     label_str = ("{" + ", ".join(f"{k}={v}" for k, v in sorted(labels.items()))
                  + "}") if labels else ""
     name = f"{event['name']}{label_str}"
-    if event["kind"] == "histogram":
-        count = event["count"]
-        mean = (event["sum"] / count) if count else 0.0
-        return (f"  {name}  count={count} mean={mean:.4g} "
-                f"min={event['min']} max={event['max']}")
-    if event["kind"] == "quantile":
-        estimates = event.get("quantiles") or {}
-        rendered = " ".join(
-            f"p{format(float(q) * 100, 'g')}="
-            + ("-" if est is None else f"{est:.4g}")
-            for q, est in sorted(estimates.items(), key=lambda kv: float(kv[0])))
-        return f"  {name}  count={event['count']} {rendered}"
-    return f"  {name}  {event['value']:g}"
+    if event["kind"] in ("counter", "gauge"):
+        return f"  {name}  {event['value']:g}"
+    # A distribution: a quantile summary, or a ``histogram`` event from a
+    # capture written before summaries became the only distribution kind.
+    count = event["count"]
+    mean = (event["sum"] / count) if count else 0.0
+    estimates = event.get("quantiles") or {}
+    rendered = "".join(
+        f" p{format(float(q) * 100, 'g')}="
+        + ("-" if est is None else f"{est:.4g}")
+        for q, est in sorted(estimates.items(), key=lambda kv: float(kv[0])))
+    return f"  {name}  count={count} mean={mean:.4g}{rendered}"
 
 
 def _trace_lines(spans: list[dict[str, object]], title: str) -> list[str]:

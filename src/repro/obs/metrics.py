@@ -1,10 +1,13 @@
-"""Label-aware metric primitives: counters, gauges, histograms.
+"""Label-aware metric primitives: counters, gauges, quantile summaries.
 
 The registry follows the Prometheus data model in miniature: a metric
 *family* is identified by name and kind, and each distinct label set under
 a family owns one child metric. Everything is plain Python with no
 dependencies so the module imports in microseconds and can be pulled into
-any layer of the library without cycles.
+any layer of the library without cycles. Every distribution (latencies,
+losses, set sizes, allocation deltas) is a
+:class:`~repro.obs.quantiles.Quantile`: count/sum/min/max plus streaming
+P² estimates, rendered as a Prometheus *summary*.
 
 Metric names are dotted (``nprec.train.grad_steps``); the Prometheus
 renderer in :mod:`repro.obs.emitters` maps dots to underscores.
@@ -12,25 +15,17 @@ renderer in :mod:`repro.obs.emitters` maps dots to underscores.
 Thread-safe: serving and load-generator worker threads update metrics
 concurrently, so get-or-create in the registry holds a registry lock and
 every child metric serialises its own read-modify-write updates (counter
-increments, P² marker adjustments, histogram buckets) behind a per-child
-lock. Snapshots take the same locks, so a capture written mid-run is
-internally consistent per child.
+increments, P² marker adjustments) behind a per-child lock. Snapshots
+take the same locks, so a capture written mid-run is internally
+consistent per child.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Iterator
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, Quantile
-from repro.obs.tracing import current_trace_id
-
-#: Default histogram bucket upper bounds (seconds-flavoured, works for
-#: latencies and for small unit-less values alike).
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
 
 #: Canonical key for one label set: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -91,81 +86,8 @@ class Gauge:
         return {"value": self.value}
 
 
-class Histogram:
-    """Streaming distribution summary with Prometheus-style buckets.
-
-    Tracks count, sum, min, max and per-bucket counts; ``bucket_counts``
-    are *cumulative* (each bucket includes everything below its bound),
-    matching the ``le`` semantics of the Prometheus text format.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "buckets", "bucket_counts", "count",
-                 "sum", "min", "max", "exemplar", "_lock")
-
-    def __init__(self, name: str, labels: dict[str, str] | None = None,
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self.name = name
-        self.labels = dict(labels or {})
-        self.buckets = tuple(float(b) for b in buckets)
-        self.bucket_counts = [0] * len(self.buckets)
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        #: Trace-ID exemplar of the worst (max) observation recorded
-        #: inside a request context — joins the p99 tail back to one
-        #: concrete request's span tree in the same capture.
-        self.exemplar: dict[str, object] | None = None
-        self._lock = threading.Lock()
-
-    def observe(self, value: float, *, trace_id: str | None = None) -> None:
-        """Record one sample.
-
-        ``trace_id`` overrides the ambient request context for the
-        max-observation exemplar — call sites that record a request
-        span's duration *after* its context has exited (and unbound the
-        ambient ID) pass the span's own ``trace_id`` here.
-        """
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.sum += value
-            self.min = min(self.min, value)
-            if value >= self.max:
-                self.max = value
-                tid = trace_id if trace_id is not None else current_trace_id()
-                if tid is not None:
-                    self.exemplar = {"trace_id": tid, "value": value}
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0.0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        """JSON-ready state of this child metric."""
-        with self._lock:
-            snap: dict[str, object] = {
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min if self.count else None,
-                "max": self.max if self.count else None,
-                "buckets": [list(pair) for pair in zip(self.buckets,
-                                                       self.bucket_counts)],
-            }
-            if self.exemplar is not None:
-                snap["exemplar"] = dict(self.exemplar)
-            return snap
-
-
 #: Any concrete metric child.
-Metric = Counter | Gauge | Histogram | Quantile
+Metric = Counter | Gauge | Quantile
 
 
 class _Family:
@@ -182,7 +104,7 @@ class _Family:
 class MetricsRegistry:
     """Owner of every metric family; one per observability session.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first call
+    ``counter``/``gauge``/``quantile`` are get-or-create: the first call
     with a given name fixes the kind, and later calls with a conflicting
     kind raise so a name can never silently mean two things.
     """
@@ -225,12 +147,6 @@ class MetricsRegistry:
         return self._child("gauge", name, labels,
                            lambda: Gauge(name, labels))
 
-    def histogram(self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-                  **labels: str) -> Histogram:
-        """Get or create the histogram child for *name* + *labels*."""
-        return self._child("histogram", name, labels,
-                           lambda: Histogram(name, labels, buckets))
-
     def quantile(self, name: str,
                  quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
                  **labels: str) -> Quantile:
@@ -260,8 +176,8 @@ class MetricsRegistry:
 
         SLO error budgets are defined over *families* (every
         ``serve.degraded`` reason counts against the budget), so the
-        label breakdown is summed away here. Histogram/quantile families
-        have no single value and raise.
+        label breakdown is summed away here. Quantile families have no
+        single value and raise.
         """
         total = 0.0
         for child in self.family(name):

@@ -18,8 +18,8 @@ Captured per span (as span attributes, so reports show them inline):
 - ``top_allocations`` — ``file:lineno +size_kb (count blocks)`` strings
   for the *top_n* largest net-positive allocation sites.
 
-The same numbers feed two metric families (``profile.net_alloc_kb`` and
-``profile.peak_alloc_kb`` histograms, labelled ``stage=<name>``) so run
+The same numbers feed two quantile families (``profile.net_alloc_kb``
+and ``profile.peak_alloc_kb``, labelled ``stage=<name>``) so run
 snapshots and the regression gate can track memory per stage.
 """
 
@@ -78,9 +78,9 @@ class ProfileContext:
             record.set("alloc_peak_kb", round(peak / 1024, 2))
             record.set("top_allocations", sites)
             registry = config._STATE.registry
-            registry.histogram("profile.net_alloc_kb", stage=self._name) \
+            registry.quantile("profile.net_alloc_kb", stage=self._name) \
                 .observe(net_bytes / 1024)
-            registry.histogram("profile.peak_alloc_kb", stage=self._name) \
+            registry.quantile("profile.peak_alloc_kb", stage=self._name) \
                 .observe(peak / 1024)
         finally:
             if exc_type is not None:

@@ -8,10 +8,11 @@ float comparisons, and the result is deterministic in the input order
 (no sampling, no randomness), which keeps captured runs comparable.
 
 :class:`Quantile` packages several P² estimators (p50/p90/p99 by
-default) behind the same child-metric interface as
-:class:`~repro.obs.metrics.Histogram`, so the registry, the JSONL
-capture, and the Prometheus renderer treat latency quantiles as a
-first-class metric family (rendered as a Prometheus *summary*).
+default) with an exact count/sum/min/max and a max-observation
+exemplar. It is the registry's one distribution kind: ``obs.observe``
+records into it, the JSONL capture and run snapshots carry its count,
+mean and estimates, the SLOs judge its estimates, and the Prometheus
+renderer emits it as a *summary*.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class Quantile:
         self.min = math.inf
         self.max = -math.inf
         #: Trace-ID exemplar of the worst (max) observation recorded
-        #: inside a request context (see :class:`Histogram.exemplar`).
+        #: inside a request context — joins the p99 tail back to one
+        #: concrete request's span tree in the same capture.
         self.exemplar: dict[str, object] | None = None
         self._estimators = [P2Quantile(q) for q in self.quantiles]
         # Serialises concurrent observations: the P² marker arrays are
@@ -164,8 +166,9 @@ class Quantile:
         """Record one sample into every tracked quantile.
 
         ``trace_id`` overrides the ambient request context for the
-        max-observation exemplar (see
-        :meth:`repro.obs.metrics.Histogram.observe`).
+        max-observation exemplar — call sites that record a request
+        span's duration *after* its context has exited (and unbound the
+        ambient ID) pass the span's own ``trace_id`` here.
         """
         value = float(value)
         with self._lock:

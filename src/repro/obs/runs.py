@@ -134,22 +134,19 @@ def _metric_key(event: dict[str, object], fld: str) -> str:
 def flatten(snapshot: dict[str, object]) -> dict[str, float]:
     """One scalar per comparable quantity in a run snapshot.
 
-    Counters/gauges contribute ``name{labels}:value``; histograms and
-    quantiles contribute ``:count``, ``:mean``, and (quantiles only)
-    ``:p50``-style estimate keys; span aggregates contribute
-    ``span.<name>:calls|total|mean``.
+    Counters/gauges contribute ``name{labels}:value``; quantiles
+    contribute ``:count``, ``:mean`` and ``:p50``-style estimate keys;
+    span aggregates contribute ``span.<name>:calls|total|mean``. The
+    ``histogram`` events of snapshots written before quantiles became
+    the one distribution kind (the committed baselines hold some) read
+    the same way: count and mean, with no estimates to add.
     """
     flat: dict[str, float] = {}
     for event in snapshot.get("metrics", []):
         kind = event.get("kind")
         if kind in ("counter", "gauge"):
             flat[_metric_key(event, "value")] = float(event["value"])
-        elif kind == "histogram":
-            count = int(event["count"])
-            flat[_metric_key(event, "count")] = float(count)
-            if count:
-                flat[_metric_key(event, "mean")] = float(event["sum"]) / count
-        elif kind == "quantile":
+        elif kind in ("histogram", "quantile"):
             count = int(event["count"])
             flat[_metric_key(event, "count")] = float(count)
             if count:

@@ -88,14 +88,11 @@ class LatencySLO:
         for child in registry.family(self.metric):
             if not isinstance(child, Quantile) or child.count == 0:
                 continue
-            if self.quantile in child.quantiles:
-                estimate = child.estimate(self.quantile)
-            else:
-                # Fall back to the nearest tracked quantile at or above
-                # the objective (conservative: never under-reports).
-                higher = [q for q in child.quantiles if q >= self.quantile]
-                estimate = child.estimate(min(higher) if higher
-                                          else child.quantiles[-1])
+            higher = [q for q in child.quantiles if q >= self.quantile]
+            # The nearest tracked quantile at or above the objective;
+            # above every tracked one, the exact max (which bounds every
+            # quantile). Conservative either way: never under-reports.
+            estimate = child.estimate(higher[0]) if higher else child.max
             if estimate is not None and (worst is None or estimate > worst):
                 worst = estimate
         if worst is None:

@@ -469,8 +469,8 @@ class ServingIndex:
                     obs.count("serve.papers_ingested", mode="degraded")
                     self._invalidate()
                     position = self._positions[paper.id]
-            self._observe_latency("serve.ingest", span.duration,
-                                  trace_id=span.trace_id)
+            obs.observe("serve.ingest.latency", span.duration,
+                        trace_id=span.trace_id)
             return position
 
         rec = self._recommender
@@ -515,28 +515,9 @@ class ServingIndex:
                 self._append(paper, row)
                 self._invalidate()
                 position = self._positions[paper.id]
-        self._observe_latency("serve.ingest", span.duration,
-                              trace_id=span.trace_id)
+        obs.observe("serve.ingest.latency", span.duration,
+                    trace_id=span.trace_id)
         return position
-
-    @staticmethod
-    def _observe_latency(name: str, seconds: float,
-                         trace_id: str | None = None, **labels: str) -> None:
-        """Record one latency sample into histogram + quantile families.
-
-        ``<name>.duration_seconds`` keeps the fixed Prometheus buckets;
-        ``<name>.latency`` feeds the P² sketch whose p50/p90/p99 back the
-        serving SLOs (:func:`repro.obs.slo.default_serving_slos`) and the
-        run-snapshot regression gate. Labels (e.g. ``cache=hit|miss``)
-        apply to both twins. ``trace_id`` is the request the sample
-        belongs to — ``span.duration`` is only set once the request
-        context exits (unbinding the ambient ID), so the exemplar ID
-        must be passed explicitly. Both are no-ops when obs is off.
-        """
-        obs.observe(f"{name}.duration_seconds", seconds,
-                    trace_id=trace_id, **labels)
-        obs.observe_quantile(f"{name}.latency", seconds,
-                             trace_id=trace_id, **labels)
 
     def _prepare_ingest(self, paper: Paper) -> tuple:
         """The fallible, side-effect-free half of ingestion, retried.
@@ -885,8 +866,8 @@ class ServingIndex:
             span.set("cache", result.cache)
         # Split by cache outcome: hit-path latency is microseconds and
         # would otherwise mask the miss-path tail in the merged p99.
-        self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache=result.cache)
+        obs.observe("serve.query.latency", span.duration,
+                    trace_id=span.trace_id, cache=result.cache)
         return result.ids
 
     def cached_top_k(self, user: "str | Sequence[Paper]",
@@ -914,8 +895,8 @@ class ServingIndex:
             obs.count("serve.queries")
             version = self._pool_version
             ids = list(cached)
-        self._observe_latency("serve.query", time.perf_counter() - start,
-                              trace_id=obs.current_trace_id(), cache="hit")
+        obs.observe("serve.query.latency", time.perf_counter() - start,
+                    trace_id=obs.current_trace_id(), cache="hit")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="hit")
 
@@ -941,8 +922,8 @@ class ServingIndex:
                 ids = (_tfidf_rank(*self._fallback(), self._ids, papers, k)
                        if self._papers else [])
             span.set("cache", "shed")
-        self._observe_latency("serve.query", span.duration,
-                              trace_id=span.trace_id, cache="shed")
+        obs.observe("serve.query.latency", span.duration,
+                    trace_id=span.trace_id, cache="shed")
         return BatchQueryResult(ids=ids, scores=None, pool_version=version,
                                 cache="shed", degraded_reason="shed")
 

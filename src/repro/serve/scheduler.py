@@ -30,7 +30,7 @@ Admission control is three-tiered, cheapest first:
 
 Every shed is counted (``serve.shed{reason=...}``) and logged as an
 ``obs.event`` carrying the request's trace id; batch shape lands in the
-``serve.batch.size`` / ``serve.batch.wait`` histograms. ``health()``
+``serve.batch.size`` / ``serve.batch.wait`` quantile summaries. ``health()``
 reports the attached scheduler's queue depth, in-flight batches, and
 shed rate, and turns unhealthy when the queue saturates.
 
@@ -405,9 +405,8 @@ class BatchScheduler:
                 latency = done - ticket.enqueued
                 if res.error is None:
                     self.governor.record(latency)
-                    ServingIndex._observe_latency(
-                        "serve.query", latency,
-                        trace_id=ticket.trace_id, cache=res.cache)
+                    obs.observe("serve.query.latency", latency,
+                                trace_id=ticket.trace_id, cache=res.cache)
                 ticket._resolve(res)
         finally:
             with self._stats_lock:

@@ -20,10 +20,10 @@ def small_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("nprec.train.grad_steps", strategy="defuzz").inc(42)
     reg.gauge("graph.nodes", type="paper").set(120)
-    h = reg.histogram("nprec.train.epoch_loss", buckets=(0.5, 1.0))
-    h.observe(0.25)
-    h.observe(0.75)
-    h.observe(2.0)
+    q = reg.quantile("nprec.train.epoch_loss")
+    q.observe(0.25)
+    q.observe(0.75)
+    q.observe(2.0)
     return reg
 
 
@@ -35,11 +35,11 @@ class TestPrometheusText:
             "# TYPE repro_graph_nodes gauge\n"
             'repro_graph_nodes{type="paper"} 120\n'
             "# HELP repro_nprec_train_epoch_loss repro metric "
-            "nprec.train.epoch_loss (histogram)\n"
-            "# TYPE repro_nprec_train_epoch_loss histogram\n"
-            'repro_nprec_train_epoch_loss_bucket{le="0.5"} 1\n'
-            'repro_nprec_train_epoch_loss_bucket{le="1"} 2\n'
-            'repro_nprec_train_epoch_loss_bucket{le="+Inf"} 3\n'
+            "nprec.train.epoch_loss (summary)\n"
+            "# TYPE repro_nprec_train_epoch_loss summary\n"
+            'repro_nprec_train_epoch_loss{quantile="0.5"} 0.75\n'
+            'repro_nprec_train_epoch_loss{quantile="0.9"} 1.75\n'
+            'repro_nprec_train_epoch_loss{quantile="0.99"} 1.975\n'
             "repro_nprec_train_epoch_loss_sum 3\n"
             "repro_nprec_train_epoch_loss_count 3\n"
             "# HELP repro_nprec_train_grad_steps repro metric "
@@ -65,24 +65,6 @@ class TestPrometheusText:
         assert '{msg="line1\\nline2"}' in text
         assert all(line.startswith(("#", "repro_"))
                    for line in text.strip().splitlines())
-
-    def test_histogram_conventions(self):
-        # _count == +Inf bucket, buckets cumulative in le order, _sum
-        # equals the total of the observations.
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        lines = prometheus_text(reg).strip().splitlines()
-        assert lines == [
-            "# HELP repro_lat repro metric lat (histogram)",
-            "# TYPE repro_lat histogram",
-            'repro_lat_bucket{le="0.1"} 1',
-            'repro_lat_bucket{le="1"} 3',
-            'repro_lat_bucket{le="+Inf"} 4',
-            "repro_lat_sum 6.05",
-            "repro_lat_count 4",
-        ]
 
     def test_quantile_renders_as_summary(self):
         reg = MetricsRegistry()
@@ -127,7 +109,7 @@ class TestJsonl:
         # Spans serialise in start order, not finish order.
         assert [s["name"] for s in spans] == ["outer", "inner"]
         assert spans[1]["parent"] == spans[0]["index"]
-        assert {m["kind"] for m in metrics} == {"counter", "gauge", "histogram"}
+        assert {m["kind"] for m in metrics} == {"counter", "gauge", "quantile"}
 
     def test_read_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -151,6 +133,20 @@ class TestReportRendering:
         assert "calls=1" in report
         assert "Metrics" in report
         assert "graph.nodes{type=paper}  120" in report
+
+    def test_distributions_render_count_and_mean(self):
+        # Quantile events, and the histogram events of captures written
+        # before summaries became the one distribution kind, read alike.
+        quantile = {"type": "metric", "kind": "quantile", "name": "new.lat",
+                    "labels": {}, "count": 2, "sum": 1.0, "min": 0.25,
+                    "max": 0.75, "quantiles": {"0.5": 0.5}}
+        histogram = {"type": "metric", "kind": "histogram",
+                     "name": "old.seconds", "labels": {}, "count": 4,
+                     "sum": 2.0, "min": 0.1, "max": 1.0,
+                     "buckets": [[1.0, 4]]}
+        report = render_report([quantile, histogram])
+        assert "  new.lat  count=2 mean=0.5 p50=0.5" in report
+        assert "  old.seconds  count=4 mean=0.5" in report
 
     def test_empty_capture_message(self):
         assert "empty capture" in render_report([{"type": "meta"}])
@@ -191,7 +187,7 @@ class TestMultiReport:
         assert "c  3" not in report
 
     def test_quantile_line_in_console_report(self, obs_enabled):
-        obs.observe_quantile("q.latency", 0.5)
+        obs.observe("q.latency", 0.5)
         summary = console_summary()
         assert "q.latency" in summary
         assert "count=1" in summary and "p99=0.5" in summary

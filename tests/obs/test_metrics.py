@@ -7,7 +7,6 @@ import pytest
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 
@@ -37,34 +36,6 @@ class TestGauge:
         g.set(10)
         g.inc(-3)
         assert g.value == 7.0
-
-
-class TestHistogram:
-    def test_statistics(self):
-        h = Histogram("latency", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.sum == pytest.approx(5.55)
-        assert h.min == 0.05
-        assert h.max == 5.0
-        assert h.mean == pytest.approx(5.55 / 3)
-
-    def test_buckets_are_cumulative(self):
-        h = Histogram("latency", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.bucket_counts == [1, 2, 3]  # 50.0 only lands in +Inf
-
-    def test_empty_mean_is_zero(self):
-        assert Histogram("latency").mean == 0.0
-        assert Histogram("latency").snapshot()["min"] is None
-
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("latency", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("latency", buckets=(1.0, 0.5))
 
 
 class TestMetricsRegistry:
@@ -116,7 +87,7 @@ class TestThreadSafety:
     def test_concurrent_updates_lose_nothing(self):
         # Loadgen worker threads hammer the same children: the
         # get-or-create race must hand every thread the same child, and
-        # no counter increment / histogram bucket / P² marker update may
+        # no counter increment / P² marker update may
         # be lost to an unsynchronised read-modify-write.
         reg = MetricsRegistry()
         n_threads, n_iter = 8, 400
@@ -126,7 +97,6 @@ class TestThreadSafety:
             barrier.wait()
             for _ in range(n_iter):
                 reg.counter("ts.count").inc()
-                reg.histogram("ts.hist").observe(0.01)
                 reg.quantile("ts.lat").observe(0.01)
 
         threads = [threading.Thread(target=work) for _ in range(n_threads)]
@@ -135,10 +105,8 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         total = n_threads * n_iter
-        assert len(reg) == 3  # one child per (name, labels), not two
+        assert len(reg) == 2  # one child per (name, labels), not two
         assert reg.counter("ts.count").value == total
-        assert reg.histogram("ts.hist").count == total
-        assert reg.histogram("ts.hist").bucket_counts[-1] == total
         quantile = reg.quantile("ts.lat")
         assert quantile.count == total
         assert quantile.estimate(0.5) == pytest.approx(0.01)

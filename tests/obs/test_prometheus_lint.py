@@ -2,9 +2,10 @@
 
 ``lint_exposition`` is the structural contract behind the ops plane's
 ``/metrics`` endpoint: the concurrent-scrape tests use it to detect torn
-output, so this file proves (a) a registry exercising every metric kind,
-label escaping, and histogram conventions lints clean, and (b) the
-linter actually rejects each class of violation it claims to catch.
+output, so this file proves (a) a registry exercising every metric kind
+and label escaping lints clean, as does a conforming histogram family
+written by another exporter, and (b) the linter actually rejects each
+class of violation it claims to catch.
 """
 
 import pytest
@@ -15,16 +16,12 @@ from repro.obs.metrics import MetricsRegistry
 
 @pytest.fixture
 def populated():
-    """A registry exercising all four kinds, labels, and escaping."""
+    """A registry exercising all three kinds, labels, and escaping."""
     registry = MetricsRegistry()
     registry.counter("lint.requests", route="/metrics", outcome="ok").inc(3)
     registry.counter("lint.requests", route="/healthz", outcome="ok").inc()
     registry.gauge("lint.queue_depth").set(7)
     registry.gauge("lint.temperature").set(-3.5)
-    hist = registry.histogram("lint.latency",
-                              buckets=(0.005, 0.05, 0.5, 5.0))
-    for value in (0.001, 0.02, 0.3, 9.0):
-        hist.observe(value)
     registry.quantile("lint.duration").observe(0.125)
     # Label values whose escaping the linter must accept back.
     registry.counter("lint.weird_labels",
@@ -59,7 +56,19 @@ class TestCleanExposition:
         assert lint_exposition(text) == []
 
     def test_histogram_conventions_survive_lint(self, populated):
-        text = prometheus_text(populated)
+        # The registry renders no histograms, but the linter stays the
+        # oracle for external exposition text: a conforming histogram
+        # family beside our own output lints clean.
+        text = prometheus_text(populated) + (
+            "# HELP repro_lint_latency external histogram\n"
+            "# TYPE repro_lint_latency histogram\n"
+            'repro_lint_latency_bucket{le="0.005"} 1\n'
+            'repro_lint_latency_bucket{le="0.05"} 2\n'
+            'repro_lint_latency_bucket{le="0.5"} 3\n'
+            'repro_lint_latency_bucket{le="5"} 3\n'
+            'repro_lint_latency_bucket{le="+Inf"} 4\n'
+            "repro_lint_latency_sum 9.321\n"
+            "repro_lint_latency_count 4\n")
         assert 'repro_lint_latency_bucket{le="+Inf"} 4' in text
         assert "repro_lint_latency_count 4" in text
         assert lint_exposition(text) == []

@@ -143,6 +143,7 @@ class TestQuantileMetric:
         snap = metric.snapshot()
         assert snap["count"] == 1
         assert snap["quantiles"] == {"0.5": 1.5, "0.9": 1.5, "0.99": 1.5}
+        assert Quantile("e").mean == 0.0
         empty = Quantile("e").snapshot()
         assert empty["min"] is None and empty["max"] is None
         assert all(est is None for est in empty["quantiles"].values())
@@ -167,17 +168,17 @@ class TestRegistryIntegration:
 
     def test_kind_conflict_rejected(self, obs_enabled):
         registry = obs.get_registry()
-        registry.histogram("dur").observe(1.0)
+        registry.counter("dur").inc()
         with pytest.raises(ValueError, match="already registered"):
             registry.quantile("dur")
 
     def test_observe_quantile_helper(self, obs_enabled):
-        obs.observe_quantile("x.latency", 0.1)
-        obs.observe_quantile("x.latency", 0.3)
+        obs.observe("x.latency", 0.1)
+        obs.observe("x.latency", 0.3)
         child = obs.get_registry().quantile("x.latency")
         assert child.count == 2
         assert math.isclose(child.sum, 0.4)
 
     def test_observe_quantile_noop_when_disabled(self, obs_disabled):
-        obs.observe_quantile("x.latency", 0.1)
+        obs.observe("x.latency", 0.1)
         assert len(obs.get_registry()) == 0

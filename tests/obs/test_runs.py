@@ -16,7 +16,7 @@ def record_sample_run():
     obs.observe("nprec.train.epoch_duration_seconds", 0.5)
     obs.observe("nprec.train.epoch_accuracy", 0.8)
     for value in (0.01, 0.02, 0.04):
-        obs.observe_quantile("serve.query.latency", value)
+        obs.observe("serve.query.latency", value)
     with obs.trace("nprec.fit"):
         pass
 
@@ -31,7 +31,7 @@ class TestCaptureAndPersist:
         assert snapshot["git_sha"]  # repo is a git checkout
         assert snapshot["spans"]["nprec.fit"]["calls"] == 1
         kinds = {e["kind"] for e in snapshot["metrics"]}
-        assert kinds == {"counter", "gauge", "histogram", "quantile"}
+        assert kinds == {"counter", "gauge", "quantile"}
 
     def test_default_run_id_is_unique(self, obs_enabled):
         a = runs.capture_run()
@@ -68,6 +68,17 @@ class TestFlattenAndClassify:
         assert flat["serve.query.latency:count"] == 3.0
         assert "serve.query.latency:p99" in flat
         assert flat["span.nprec.fit:calls"] == 1.0
+
+    def test_committed_histogram_events_still_flatten(self):
+        # Baselines written before summaries became the one distribution
+        # kind hold ``histogram`` events; they flatten to count and mean
+        # exactly as the twin quantile child of the same latency does.
+        flat = runs.flatten(
+            runs.load_run("results/obs/baselines/serve_load.json"))
+        old = flat["serve.query.duration_seconds{cache=miss}:mean"]
+        assert old == flat["serve.query.latency{cache=miss}:mean"]
+        assert flat["serve.query.duration_seconds{cache=miss}:count"] == \
+            flat["serve.query.latency{cache=miss}:count"]
 
     def test_labels_embed_in_the_key(self, obs_enabled):
         obs.count("serve.degraded", 2, reason="corrupt")
@@ -188,6 +199,39 @@ class TestCheckCLI:
         assert obs_main(["check", str(cur), "--baseline", str(base)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "epoch_accuracy" in out
+
+    def test_missing_gated_keys_are_listed(self, obs_enabled, tmp_path,
+                                           capsys):
+        base = self._write(obs_enabled, tmp_path)
+        snapshot = json.loads(base.read_text())
+        snapshot["metrics"] = [e for e in snapshot["metrics"]
+                               if e["name"] != "nprec.train.epoch_accuracy"]
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(snapshot))
+        # Missing keys cannot regress: the exit status is unchanged.
+        assert obs_main(["check", str(cur), "--baseline", str(base)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ok: ")
+        assert lines[1] == (
+            "missing: 4 gated baseline metric(s) not in the run: "
+            "nprec.train.epoch_accuracy:mean, nprec.train.epoch_accuracy:p50, "
+            "nprec.train.epoch_accuracy:p90, nprec.train.epoch_accuracy:p99")
+        # A regression elsewhere still fails, and the missing keys are
+        # still named.
+        for event in snapshot["metrics"]:
+            if event["name"] == "serve.query.latency":
+                event["sum"] *= 100
+        cur.write_text(json.dumps(snapshot))
+        assert obs_main(["check", str(cur), "--baseline", str(base)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("REGRESSION: 1 gated metric(s)")
+        assert "missing: 4 gated baseline metric(s)" in out
+
+    def test_no_missing_line_when_every_key_is_present(self, obs_enabled,
+                                                       tmp_path, capsys):
+        base = self._write(obs_enabled, tmp_path)
+        assert obs_main(["check", str(base), "--baseline", str(base)]) == 0
+        assert "missing:" not in capsys.readouterr().out
 
     def test_exit_two_on_unreadable_snapshot(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -32,10 +32,10 @@ class TestLatencySLO:
         slo = LatencySLO("s", metric="m.latency", quantile=0.99,
                          threshold=0.1)
         for _ in range(20):
-            obs.observe_quantile("m.latency", 0.01)
+            obs.observe("m.latency", 0.01)
         assert slo.evaluate().ok
         for _ in range(20):
-            obs.observe_quantile("m.latency", 0.5)
+            obs.observe("m.latency", 0.5)
         status = slo.evaluate()
         assert not status.ok
         assert status.observed > 0.1
@@ -43,8 +43,8 @@ class TestLatencySLO:
 
     def test_worst_label_set_is_judged(self, obs_enabled):
         slo = LatencySLO("s", metric="m.latency", threshold=0.1)
-        obs.observe_quantile("m.latency", 0.01, route="fast")
-        obs.observe_quantile("m.latency", 0.9, route="slow")
+        obs.observe("m.latency", 0.01, route="fast")
+        obs.observe("m.latency", 0.9, route="slow")
         status = slo.evaluate()
         assert not status.ok
         assert status.observed == pytest.approx(0.9)
@@ -55,6 +55,20 @@ class TestLatencySLO:
         status = LatencySLO("s", metric="m.latency", quantile=0.95,
                             threshold=0.1).evaluate()
         assert not status.ok
+
+    def test_quantile_above_every_tracked_one_judges_the_max(self,
+                                                             obs_enabled):
+        # p99.9 on a p50/p90/p99 family: 995 fast samples with one 1 s
+        # outlier every 200. The p99 marker stays near 0.04 s, under the
+        # threshold; only the exact max (1 s) is conservative.
+        latency = obs.get_registry().quantile("m.latency")
+        for i in range(1000):
+            latency.observe(1.0 if i % 200 == 199 else 0.01)
+        status = LatencySLO("s", metric="m.latency", quantile=0.999,
+                            threshold=0.1).evaluate()
+        assert not status.ok
+        assert status.observed == 1.0
+        assert "p99.9" in status.detail
 
     def test_validation(self):
         with pytest.raises(ValueError, match="quantile"):
@@ -142,7 +156,7 @@ class TestSLOMonitor:
         monitor = SLOMonitor([LatencySLO("s", metric="m.latency",
                                          threshold=0.1)],
                              clock=FakeClock())
-        obs.observe_quantile("m.latency", 5.0)
+        obs.observe("m.latency", 5.0)
         assert not monitor.check()[0].ok
 
 
@@ -173,7 +187,7 @@ class TestRegistry:
         slo = LatencySLO("mine", metric="m.latency", threshold=0.1)
         register_slo(slo)
         assert registered_slos() == [slo]
-        obs.observe_quantile("m.latency", 9.0)
+        obs.observe("m.latency", 9.0)
         statuses = evaluate_registered()
         assert len(statuses) == 1 and not statuses[0].ok
         unregister_slo("mine")

@@ -9,10 +9,12 @@ from repro.core.nprec import NPRecConfig, NPRecRecommender
 from repro.core.sem import SEMConfig
 from repro.data import load_acm
 from repro.experiments.protocol import split_task_by_year
+from repro.obs.testing import FakeClock
 from repro.resilience import faults
 from repro.serve import save_pipeline
 from repro.serve.__main__ import main as serve_main
 from repro.serve.index import ServingIndex
+from repro.serve.scheduler import BatchScheduler, SheddingGovernor
 
 
 @pytest.fixture(scope="module")
@@ -125,15 +127,66 @@ class TestSLOHealth:
         user = task.users[0]
         for _ in range(3):
             index.top_k(list(user.train_papers), k=5)
-        # Latency twins are split by cache outcome: the first query is a
+        # Query latency is split by cache outcome: the first query is a
         # miss, the repeats hit the LRU cache.
         registry = obs.get_registry()
         miss = registry.get("serve.query.latency", cache="miss")
         hit = registry.get("serve.query.latency", cache="hit")
         assert miss is not None and miss.count == 1
         assert hit is not None and hit.count == 2
-        histogram = registry.get("serve.query.duration_seconds", cache="hit")
-        assert histogram is not None and histogram.count == 2
+        assert registry.get("serve.query.duration_seconds", cache="hit") \
+            is None
+
+    @pytest.mark.parametrize("event", [
+        "top_k_miss", "cached_top_k_hit", "shed_rank", "scheduler_batch",
+        "add_paper"])
+    def test_each_latency_is_recorded_once(self, artifact, obs_enabled,
+                                           event):
+        directory, task = artifact
+        index = ServingIndex.from_artifact(directory, papers=task.new_papers)
+        papers = list(task.users[0].train_papers)
+        if event == "cached_top_k_hit":
+            index.top_k(papers, k=5)  # fill the cache
+
+        def counts():
+            registry = obs.get_registry()
+            return {(m.name, m.labels.get("cache")): m.count
+                    for name in ("serve.query.latency",
+                                 "serve.ingest.latency")
+                    for m in registry.family(name)}
+
+        before = counts()
+        if event == "top_k_miss":
+            index.top_k(papers, k=5)
+            expected = ("serve.query.latency", "miss")
+        elif event == "cached_top_k_hit":
+            assert index.cached_top_k(papers, k=5) is not None
+            expected = ("serve.query.latency", "hit")
+        elif event == "shed_rank":
+            index.shed_rank(papers, k=5)
+            expected = ("serve.query.latency", "shed")
+        elif event == "scheduler_batch":
+            clock = FakeClock()
+            scheduler = BatchScheduler(
+                index, clock=clock, start=False,
+                governor=SheddingGovernor(threshold=100.0, clock=clock))
+            ticket = scheduler.submit(papers, 5)
+            clock.advance(1.0)
+            assert scheduler.pump() == 1
+            assert ticket.result(timeout=1).cache == "miss"
+            scheduler.close()
+            expected = ("serve.query.latency", "miss")
+        else:
+            index.add_paper(task.train_papers[0])
+            expected = ("serve.ingest.latency", None)
+        after = counts()
+        added = {key: after[key] - before.get(key, 0) for key in after
+                 if after[key] != before.get(key, 0)}
+        assert added == {expected: 1}
+        names = {m.name for m in obs.get_registry().collect()}
+        assert not [n for n in names
+                    if n.startswith("serve.") and "duration_seconds" in n]
+        assert obs.lint_exposition(obs.prometheus_text()) == []
 
     def test_latency_breach_makes_index_unhealthy(self, artifact, obs_enabled):
         directory, task = artifact
@@ -141,7 +194,7 @@ class TestSLOHealth:
         # Force the p99 sketch over the 250ms objective: a sustained run
         # of slow queries, as the monitor would see it.
         for _ in range(30):
-            obs.observe_quantile("serve.query.latency", 2.0)
+            obs.observe("serve.query.latency", 2.0)
         report = index.health()
         assert "serve.query.p99" in report["slo_breaches"]
         assert not report["healthy"]
