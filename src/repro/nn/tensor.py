@@ -13,7 +13,15 @@ Design notes
 * Broadcasting follows numpy semantics; :func:`_unbroadcast` sums gradients
   back down to each parent's shape.
 * The graph is a DAG of ``Tensor`` nodes; :meth:`Tensor.backward` runs a
-  topological sort and calls each node's locally stored backward closure.
+  topological sort and calls each node's backward closure with that node's
+  gradient, ``node._backward_fn(node.grad)``.
+* Closures capture their inputs, never their own output, so the graph has
+  no reference cycles: refcounting frees it (activations and all) as soon
+  as its output is dropped, whether or not it was backpropagated.
+* :meth:`Tensor.backward` releases the graph it walked, like PyTorch's
+  default ``retain_graph=False``: interior nodes drop their closure,
+  parents and gradient; leaves keep their gradient. A second
+  ``backward()`` through a released node raises ``RuntimeError``.
 * All data is stored as ``float64`` for numerical robustness at the small
   model scales used in this reproduction.
 """
@@ -46,6 +54,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _released(grad: np.ndarray) -> None:
+    """Backward closure of an interior node whose graph was already walked."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() released; "
+        "run the forward pass again")
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -64,7 +79,8 @@ class Tensor:
     parents:
         The tensors this one was computed from (internal use).
     backward_fn:
-        Closure propagating ``self.grad`` into the parents (internal use).
+        Closure taking this node's gradient and accumulating it into the
+        parents (internal use).
     name:
         Optional debugging label.
     """
@@ -76,7 +92,7 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         parents: tuple["Tensor", ...] = (),
-        backward_fn: Callable[[], None] | None = None,
+        backward_fn: Callable[[np.ndarray], None] | None = None,
         name: str | None = None,
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
@@ -146,6 +162,11 @@ class Tensor:
         grad:
             Incoming gradient. Defaults to 1.0, which requires ``self`` to
             be a scalar (the usual "loss.backward()" case).
+
+        The walked graph is released: interior nodes drop their closure,
+        parents and gradient as soon as their closure has run, and leaves
+        keep the accumulated gradient. Raises ``RuntimeError`` if the graph
+        reaches a node an earlier call already released.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -155,7 +176,6 @@ class Tensor:
                     f"backward() without an explicit gradient requires a scalar, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=np.float64))
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -167,28 +187,34 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _released:
+                _released(grad)  # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
+        self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn()
+            if node._backward_fn is None:
+                continue  # a leaf: keep its gradient
+            if node.grad is not None:
+                node._backward_fn(node.grad)
+            node._backward_fn = _released
+            node._parents = ()
+            node.grad = None
 
     @staticmethod
     def _result(
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward_fn: Callable[["Tensor"], Callable[[], None]],
+        backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Build an op result, wiring the backward closure only if needed."""
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, parents=parents if requires else ())
-        if requires:
-            out._backward_fn = backward_fn(out)
-        return out
+        if any(p.requires_grad for p in parents):
+            return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+        return Tensor(data)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -197,28 +223,22 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         data = self.data + other_t.data
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad)
-                if other_t.requires_grad:
-                    other_t._accumulate(out.grad)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad)
+            if other_t.requires_grad:
+                other_t._accumulate(grad)
 
-            return backward
-
-        return Tensor._result(data, (self, other_t), make)
+        return Tensor._result(data, (self, other_t), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(-out.grad)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(-grad)
 
-            return backward
-
-        return Tensor._result(-self.data, (self,), make)
+        return Tensor._result(-self.data, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
@@ -231,16 +251,13 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         data = self.data * other_t.data
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * other_t.data)
-                if other_t.requires_grad:
-                    other_t._accumulate(out.grad * self.data)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(grad * self.data)
 
-            return backward
-
-        return Tensor._result(data, (self, other_t), make)
+        return Tensor._result(data, (self, other_t), backward)
 
     __rmul__ = __mul__
 
@@ -248,16 +265,13 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         data = self.data / other_t.data
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad / other_t.data)
-                if other_t.requires_grad:
-                    other_t._accumulate(-out.grad * self.data / (other_t.data**2))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad / other_t.data)
+            if other_t.requires_grad:
+                other_t._accumulate(-grad * self.data / (other_t.data**2))
 
-            return backward
-
-        return Tensor._result(data, (self, other_t), make)
+        return Tensor._result(data, (self, other_t), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(_as_array(other)) / self
@@ -267,14 +281,11 @@ class Tensor:
             raise TypeError("tensor exponents are not supported; use exp/log composition")
         data = self.data**exponent
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -284,23 +295,19 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         data = self.data @ other_t.data
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                grad = out.grad
-                if self.requires_grad:
-                    if other_t.data.ndim == 1:
-                        self._accumulate(np.outer(grad, other_t.data) if grad.ndim else grad * other_t.data)
-                    else:
-                        self._accumulate(grad @ np.swapaxes(other_t.data, -1, -2))
-                if other_t.requires_grad:
-                    if self.data.ndim == 1:
-                        other_t._accumulate(np.outer(self.data, grad) if grad.ndim else self.data * grad)
-                    else:
-                        other_t._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                if other_t.data.ndim == 1:
+                    self._accumulate(np.outer(grad, other_t.data) if grad.ndim else grad * other_t.data)
+                else:
+                    self._accumulate(grad @ np.swapaxes(other_t.data, -1, -2))
+            if other_t.requires_grad:
+                if self.data.ndim == 1:
+                    other_t._accumulate(np.outer(self.data, grad) if grad.ndim else self.data * grad)
+                else:
+                    other_t._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
 
-            return backward
-
-        return Tensor._result(data, (self, other_t), make)
+        return Tensor._result(data, (self, other_t), backward)
 
     __matmul__ = matmul
 
@@ -308,14 +315,11 @@ class Tensor:
         """Swap the last two axes (matrix transpose)."""
         data = np.swapaxes(self.data, -1, -2)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(np.swapaxes(out.grad, -1, -2))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(np.swapaxes(grad, -1, -2))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -332,29 +336,23 @@ class Tensor:
         original = self.data.shape
         data = self.data.reshape(shape)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad.reshape(original))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad.reshape(original))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         """Differentiable indexing/slicing (supports integer-array gather)."""
         data = self.data[index]
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    grad = np.zeros_like(self.data)
-                    np.add.at(grad, index, out.grad)
-                    self._accumulate(grad)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                full = np.zeros_like(self.data)
+                np.add.at(full, index, grad)
+                self._accumulate(full)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -364,20 +362,16 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
         in_shape = self.data.shape
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if not self.requires_grad:
-                    return
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                    for ax in sorted(a % len(in_shape) for a in axes):
-                        grad = np.expand_dims(grad, ax)
-                self._accumulate(np.broadcast_to(grad, in_shape))
+        def backward(grad: np.ndarray) -> None:
+            if not self.requires_grad:
+                return
+            if axis is not None and not keepdims:
+                axes = (axis,) if isinstance(axis, int) else tuple(axis)
+                for ax in sorted(a % len(in_shape) for a in axes):
+                    grad = np.expand_dims(grad, ax)
+            self._accumulate(np.broadcast_to(grad, in_shape))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         """Differentiable mean over *axis*."""
@@ -392,21 +386,17 @@ class Tensor:
         """Differentiable max; gradient flows to the (first) argmax entries."""
         data = self.data.max(axis=axis, keepdims=keepdims)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if not self.requires_grad:
-                    return
-                grad_out = out.grad
-                expanded = self.data.max(axis=axis, keepdims=True)
-                mask = (self.data == expanded).astype(np.float64)
-                mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                if axis is not None and not keepdims:
-                    grad_out = np.expand_dims(grad_out, axis)
-                self._accumulate(mask * grad_out)
+        def backward(grad: np.ndarray) -> None:
+            if not self.requires_grad:
+                return
+            expanded = self.data.max(axis=axis, keepdims=True)
+            mask = (self.data == expanded).astype(np.float64)
+            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis)
+            self._accumulate(mask * grad)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -415,96 +405,75 @@ class Tensor:
         """Elementwise exponential."""
         data = np.exp(self.data)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * data)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * data)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
         data = np.log(self.data)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad / self.data)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad / self.data)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
         data = np.tanh(self.data)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * (1.0 - data**2))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * (1.0 - data**2))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid (numerically stable)."""
         data = np.where(self.data >= 0, 1.0 / (1.0 + np.exp(-self.data)),
                         np.exp(self.data) / (1.0 + np.exp(self.data)))
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * data * (1.0 - data))
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * data * (1.0 - data))
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def relu(self) -> "Tensor":
         """Elementwise rectified linear unit."""
         mask = self.data > 0
         data = self.data * mask
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * mask)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * mask)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (subgradient 0 at zero)."""
         sign = np.sign(self.data)
         data = np.abs(self.data)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * sign)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * sign)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
     def clip_min(self, minimum: float) -> "Tensor":
         """Elementwise ``max(x, minimum)`` — the hinge building block."""
         mask = self.data > minimum
         data = np.maximum(self.data, minimum)
 
-        def make(out: "Tensor") -> Callable[[], None]:
-            def backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * mask)
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad * mask)
 
-            return backward
-
-        return Tensor._result(data, (self,), make)
+        return Tensor._result(data, (self,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -516,17 +485,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def make(out: Tensor) -> Callable[[], None]:
-        def backward() -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * out.grad.ndim
-                    slicer[axis] = slice(int(start), int(stop))
-                    tensor._accumulate(out.grad[tuple(slicer)])
+    def backward(grad: np.ndarray) -> None:
+        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if tensor.requires_grad:
+                slicer = [slice(None)] * grad.ndim
+                slicer[axis] = slice(int(start), int(stop))
+                tensor._accumulate(grad[tuple(slicer)])
 
-        return backward
-
-    return Tensor._result(data, tuple(tensors), make)
+    return Tensor._result(data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -536,15 +502,12 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ValueError("stack requires at least one tensor")
     data = np.stack([t.data for t in tensors], axis=axis)
 
-    def make(out: Tensor) -> Callable[[], None]:
-        def backward() -> None:
-            for i, tensor in enumerate(tensors):
-                if tensor.requires_grad:
-                    tensor._accumulate(np.take(out.grad, i, axis=axis))
+    def backward(grad: np.ndarray) -> None:
+        for i, tensor in enumerate(tensors):
+            if tensor.requires_grad:
+                tensor._accumulate(np.take(grad, i, axis=axis))
 
-        return backward
-
-    return Tensor._result(data, tuple(tensors), make)
+    return Tensor._result(data, tuple(tensors), backward)
 
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:

@@ -69,6 +69,10 @@ from repro.serve.artifacts import (load_pipeline, save_ann_index,
                                    save_pipeline)
 from repro.serve.index import ServingIndex
 
+#: Finished spans the ``serve`` daemon's tracer retains (~574 B each).
+#: Older spans are evicted; the span aggregates keep counting them.
+SERVE_MAX_SPANS = 10_000
+
 
 def _fit_config(seed: int) -> NPRecConfig:
     """A lightened NPRec configuration for CLI-scale corpora."""
@@ -491,7 +495,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # Ops plane first: the flight recorder is armed before anything that
     # can crash, so even a failed warmup leaves a postmortem bundle.
-    obs.configure(enabled=True, reset=True)
+    obs.configure(enabled=True, reset=True, max_spans=SERVE_MAX_SPANS)
     recorder = obs.get_flight_recorder()
     recorder.arm(args.postmortem_dir)
 

@@ -1,10 +1,13 @@
 """Unit and gradient-check tests for the autograd Tensor engine."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.nn import Tensor, as_tensor, concat, parameter, stack
+from repro.nn.tensor import _released
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -152,6 +155,69 @@ class TestGradients:
         np.testing.assert_allclose(p.grad, [4.0])
         p.zero_grad()
         assert p.grad is None
+
+
+def _graph(p: Tensor) -> tuple[Tensor, list[Tensor]]:
+    """A small graph through every differentiable op; returns (loss, interior nodes)."""
+    h = (Tensor(np.ones((2, 3))) @ p.T).tanh()
+    g = concat([h.sigmoid(), (h * h).exp()], axis=1)
+    z = stack([g.relu(), g.abs()]).reshape(-1)[np.array([0, 2, 5])]
+    loss = (z.clip_min(0.1).log() / 2.0 - z ** 2).max() + z.mean()
+    return loss, [h, g, z, loss]
+
+
+class TestGraphRelease:
+    def test_backward_releases_interior_nodes_keeps_leaf_grad(self):
+        p = parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+        loss, interior = _graph(p)
+        loss.backward()
+        assert p.grad is not None and p.grad.shape == (2, 3)
+        assert np.any(p.grad != 0)
+        for node in interior:
+            assert node._parents == ()
+            assert node._backward_fn is _released
+            assert node.grad is None
+        # Forward values survive the release.
+        assert np.isfinite(loss.item())
+
+    def test_second_backward_raises(self):
+        p = parameter([1.0, 2.0])
+        loss = (p * p).sum()
+        loss.backward()
+        before = p.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        np.testing.assert_array_equal(p.grad, before)
+
+    def test_backward_through_released_interior_node_raises(self):
+        p = parameter([1.0, 2.0])
+        y = p * 3.0
+        y.sum().backward()
+        before = p.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            (y * 2.0 + p).sum().backward()
+        np.testing.assert_array_equal(p.grad, before)
+
+    @pytest.mark.parametrize("backpropagate", [True, False])
+    def test_dropped_graph_freed_by_refcount(self, backpropagate):
+        # With the cyclic collector off, only refcounting can free the
+        # graph; whatever it leaves behind, the collector then finds
+        # unreachable (kept in gc.garbage by DEBUG_SAVEALL).
+        p = parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            loss, interior = _graph(p)
+            if backpropagate:
+                loss.backward()
+            del loss, interior
+            gc.collect()
+            assert [o for o in gc.garbage if isinstance(o, Tensor)] == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
 
 class TestConcatStack:

@@ -19,8 +19,11 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.obs.emitters import lint_exposition
+from repro.resilience import faults
 from repro.serve import WriteAheadLog
+from repro.serve import __main__ as serve_cli
 
 _REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -156,3 +159,39 @@ def test_startup_wal_replay_failure_leaves_postmortem(artifact, serve_task,
     assert fault_entries
     assert fault_entries[0]["name"] == "serve.wal.replay"
     assert "serve.wal.replay" in fault_entries[0]["open_spans"]
+
+
+def test_daemon_tracer_retains_a_bounded_span_list(artifact, tmp_path,
+                                                    monkeypatch):
+    """The daemon's tracer evicts old spans instead of keeping one per
+    request for the life of the process; its aggregates keep counting."""
+    directory, _ = artifact
+    bound = 40
+    monkeypatch.setattr(serve_cli, "SERVE_MAX_SPANS", bound)
+    started = {}
+    load = serve_cli._load_or_fit_index
+
+    def capture(args):
+        started["task"], started["index"] = load(args)
+        return started["task"], started["index"]
+
+    monkeypatch.setattr(serve_cli, "_load_or_fit_index", capture)
+    try:
+        with faults.inject(None):  # ambient chaos-wall plans must not fire
+            assert serve_cli.main([
+                "serve", "--dir", str(directory),
+                "--wal", str(tmp_path / "ingest.wal"),
+                "--postmortem-dir", str(tmp_path / "postmortems"),
+                "--duration", "0"]) == 0
+            tracer = obs.get_tracer()
+            assert tracer.max_spans == bound
+            user = started["task"].users[0].author_id
+            requests = 3 * bound
+            for _ in range(requests):
+                started["index"].top_k(user, k=5)
+        assert len(tracer.spans) <= bound
+        assert tracer.dropped_spans > 0
+        assert tracer.aggregate()["serve.query"].calls == requests
+    finally:
+        obs.get_tracer().max_spans = None
+        obs.configure(enabled=False, reset=True)
