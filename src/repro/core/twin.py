@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,12 +25,11 @@ import numpy as np
 from repro import obs
 from repro.core.annotation import Triplet
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
-from repro.errors import InjectedFault, NumericalError
-from repro.nn import Adam, Tensor, l2_regularization, stack as tensor_stack
+from repro.nn import Tensor, l2_regularization, stack as tensor_stack
 from repro.resilience import faults
-from repro.resilience.checkpoint import CheckpointManager, TrainState
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.guards import GuardPolicy, NumericGuard
-from repro.utils.rng import as_generator
+from repro.resilience.training import EpochTrainer
 
 #: Supported D^k implementations.
 DISTANCE_FUNCTIONS = ("neg_dot", "euclidean", "cosine")
@@ -57,7 +57,7 @@ class TrainHistory:
     violation_rates: list[float] = field(default_factory=list)
 
 
-class TwinNetworkTrainer:
+class TwinNetworkTrainer(EpochTrainer):
     """Optimises a :class:`SubspaceEmbeddingNetwork` on annotated triplets.
 
     Parameters
@@ -72,16 +72,9 @@ class TwinNetworkTrainer:
         L2 regularisation coefficient lambda.
     lr, epochs, batch_size, seed:
         Optimisation hyperparameters.
-    checkpoint, checkpoint_every, keep_checkpoints:
-        Optional atomic per-epoch checkpointing (a directory path or a
-        :class:`~repro.resilience.checkpoint.CheckpointManager`);
-        ``train(..., resume=True)`` then continues from the newest
-        snapshot bit-identically to an uninterrupted run.
-    guard:
-        Optional :class:`~repro.resilience.guards.NumericGuard` (or a
-        :class:`GuardPolicy`, or ``True`` for defaults): NaN/Inf and
-        divergence trips roll back to the epoch-start state, decay the
-        learning rate, and retry within the policy's rollback budget.
+    checkpoint, checkpoint_every, guard:
+        Optional resumable checkpoints and numeric guard (see
+        :class:`~repro.resilience.training.EpochTrainer`).
     """
 
     def __init__(self, network: SubspaceEmbeddingNetwork, distance: str = "neg_dot",
@@ -89,33 +82,18 @@ class TwinNetworkTrainer:
                  epochs: int = 5, batch_size: int = 16,
                  seed: int | np.random.Generator | None = 0,
                  checkpoint: "CheckpointManager | str | os.PathLike | None" = None,
-                 checkpoint_every: int = 1, keep_checkpoints: int = 3,
+                 checkpoint_every: int = 1,
                  guard: "NumericGuard | GuardPolicy | bool | None" = None) -> None:
         if distance not in DISTANCE_FUNCTIONS:
             raise ValueError(f"unknown distance {distance!r}; choose from {DISTANCE_FUNCTIONS}")
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        super().__init__(network, lr, epochs, batch_size, seed, checkpoint,
+                         checkpoint_every, guard)
         self.network = network
         self.distance = distance
         self.margin = margin
         self.reg = reg
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self._seed = seed
-        self.optimizer = Adam(network.parameters(), lr=lr)
-        if isinstance(checkpoint, (str, os.PathLike)):
-            checkpoint = CheckpointManager(checkpoint, keep_last=keep_checkpoints)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = checkpoint_every
-        if isinstance(guard, GuardPolicy):
-            guard = NumericGuard(guard)
-        elif guard is True:
-            guard = NumericGuard()
-        self.guard: NumericGuard | None = guard or None
 
     # ------------------------------------------------------------------
     def _embed_batch(self, paper_ids: set[str],
@@ -161,38 +139,12 @@ class TwinNetworkTrainer:
         if missing:
             raise KeyError(f"encoded cache missing {len(missing)} papers, "
                            f"e.g. {sorted(missing)[:3]}")
-        rng = as_generator(self._seed)
         history = TrainHistory()
-        order = np.arange(len(triplets))
-        columns = {"losses": history.losses,
-                   "violation_rates": history.violation_rates}
-        start_epoch = self._maybe_resume(rng, order, columns, resume)
         with obs.profile("sem.twin.train"), \
                 obs.trace("sem.twin.train", epochs=self.epochs,
                           triplets=len(triplets), distance=self.distance):
-            epoch = start_epoch
-            while epoch < self.epochs:
-                snapshot = None
-                if self.guard is not None:
-                    snapshot = TrainState.capture(epoch, self.network,
-                                                  self.optimizer, rng, order,
-                                                  columns)
-                try:
-                    mean_loss, violation_rate = self._run_epoch(
-                        triplets, encoded, order, rng, epoch)
-                    if self.guard is not None:
-                        self.guard.check_epoch(mean_loss, epoch)
-                except (NumericalError, InjectedFault):
-                    if snapshot is None or not self.guard.admit_rollback():
-                        raise
-                    snapshot.restore(self.network, self.optimizer, rng, order,
-                                     columns)
-                    self.guard.decay_lr(self.optimizer)
-                    continue
-                history.losses.append(mean_loss)
-                history.violation_rates.append(violation_rate)
-                epoch += 1
-                self._maybe_checkpoint(epoch, rng, order, columns)
+            self._train(len(triplets), vars(history),
+                        partial(self._run_epoch, triplets, encoded), resume)
         return history
 
     # ------------------------------------------------------------------
@@ -221,12 +173,7 @@ class TwinNetworkTrainer:
                 loss = tensor_stack(terms).mean()
                 if self.reg > 0:
                     loss = loss + l2_regularization(self.optimizer.params, self.reg)
-                loss.backward()
-                if self.guard is not None:
-                    where = f"twin epoch {epoch}, batch offset {start}"
-                    self.guard.check_loss(loss.item(), where)
-                    self.guard.check_gradients(self.optimizer.params, where)
-                self.optimizer.step()
+                self._step(loss, f"twin epoch {epoch}, batch offset {start}")
                 epoch_loss += loss.item() * len(batch)
                 obs.count("sem.twin.grad_steps")
             mean_loss = epoch_loss / len(triplets)
@@ -239,29 +186,6 @@ class TwinNetworkTrainer:
         obs.observe("sem.twin.epoch_rule_agreement", agreement)
         obs.observe("sem.twin.epoch.latency", span.duration)
         return mean_loss, violations / len(triplets)
-
-    def _maybe_resume(self, rng: np.random.Generator, order: np.ndarray,
-                      columns: dict[str, list[float]], resume: bool) -> int:
-        if not resume:
-            return 0
-        if self.checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint directory "
-                             "or CheckpointManager")
-        state = self.checkpoint.latest()
-        if state is None:
-            return 0
-        state.restore(self.network, self.optimizer, rng, order, columns)
-        obs.count("resilience.checkpoint.resumed")
-        return min(state.epoch, self.epochs)
-
-    def _maybe_checkpoint(self, completed: int, rng: np.random.Generator,
-                          order: np.ndarray,
-                          columns: dict[str, list[float]]) -> None:
-        if self.checkpoint is None:
-            return
-        if completed % self.checkpoint_every == 0 or completed == self.epochs:
-            self.checkpoint.save(TrainState.capture(
-                completed, self.network, self.optimizer, rng, order, columns))
 
     def violation_rate(self, triplets: Sequence[Triplet],
                        encoded: Mapping[str, tuple[np.ndarray, Sequence[int]]]) -> float:

@@ -14,6 +14,7 @@ from repro.data.corpus import Corpus
 from repro.data.schema import Author, Paper, Venue
 from repro.errors import DataError, InjectedFault
 from repro.resilience import faults
+from repro.resilience.durable import write_json_atomic
 from repro.resilience.retry import Backoff, retry
 
 
@@ -99,24 +100,10 @@ def corpus_from_dict(payload: dict, strict: bool = True) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
-    """Write *corpus* to a JSON file, atomically.
-
-    The payload goes to a same-directory temp file which is fsynced and
-    then renamed over *path* (``os.replace``), so a crash mid-dump never
-    leaves a truncated file — an existing corpus at *path* survives
-    intact until the new bytes are durably complete.
-    """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(corpus_to_dict(corpus), handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    """Write *corpus* to a JSON file, atomically (a crash mid-dump never
+    leaves a truncated file; see
+    :func:`~repro.resilience.durable.write_json_atomic`)."""
+    write_json_atomic(path, corpus_to_dict(corpus))
 
 
 @retry(attempts=3, backoff=Backoff(base=0.01), retry_on=(InjectedFault,),

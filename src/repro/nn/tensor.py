@@ -28,7 +28,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -520,9 +520,3 @@ def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
 def parameter(data: ArrayLike, name: str | None = None) -> Tensor:
     """Create a trainable leaf tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def no_grad_params(params: Iterable[Tensor]) -> None:
-    """Zero the gradient buffers of *params* in place."""
-    for param in params:
-        param.zero_grad()

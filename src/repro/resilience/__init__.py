@@ -1,6 +1,7 @@
 """repro.resilience — fault injection, checkpoints, guards, and retry.
 
-The fault-tolerance layer of the pipeline. Four cooperating pieces:
+The fault-tolerance layer of the pipeline. Each policy lives in one
+module:
 
 - :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (``REPRO_FAULTS=site:prob:seed,...``) whose
@@ -8,12 +9,17 @@ The fault-tolerance layer of the pipeline. Four cooperating pieces:
   artifact verify/load, SEM embedding, trainer batch steps, and serving
   query/ingest sites, raising typed
   :class:`~repro.errors.InjectedFault` errors reproducibly;
-- :mod:`repro.resilience.checkpoint` — atomic (tmp+fsync+rename,
-  sha256-manifested) per-epoch training checkpoints with keep-last-N
-  retention and **bit-identical** resume;
+- :mod:`repro.resilience.durable` — crash-safe (tmp+fsync+rename) JSON
+  writes and sha256-manifested directories, shared by pipeline
+  artifacts, checkpoints and corpus dumps;
+- :mod:`repro.resilience.checkpoint` — atomic per-epoch training
+  checkpoints with keep-last-N retention and **bit-identical** resume;
 - :mod:`repro.resilience.guards` — NaN/Inf and divergence detection
   raising :class:`~repro.errors.NumericalError`, plus the bounded
-  rollback/LR-halving recovery policy trainers apply on a trip;
+  rollback/LR-halving recovery policy;
+- :mod:`repro.resilience.training` — :class:`EpochTrainer`, the one
+  resumable, guarded epoch loop both gradient trainers (SEM twin
+  network, NPRec GCN) subclass;
 - :mod:`repro.resilience.retry` — a deterministic exponential-backoff
   retry decorator raising :class:`~repro.errors.RetryExhaustedError`
   with a full attempt log, used by data IO and the serving layer before
@@ -42,6 +48,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.guards import GuardPolicy, NumericGuard
 from repro.resilience.retry import Backoff, RetryAttempt, retry
+from repro.resilience.training import EpochTrainer
 
 __all__ = [
     # faults
@@ -49,8 +56,8 @@ __all__ = [
     "active", "KNOWN_SITES", "ENV_VAR",
     # checkpoints
     "CheckpointManager", "TrainState", "CHECKPOINT_SCHEMA_VERSION",
-    # guards
-    "NumericGuard", "GuardPolicy",
+    # guards and the shared epoch loop
+    "NumericGuard", "GuardPolicy", "EpochTrainer",
     # retry
     "retry", "Backoff", "RetryAttempt",
     # errors (re-exported for convenience)

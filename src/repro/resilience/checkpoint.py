@@ -6,11 +6,13 @@ A checkpoint directory holds one subdirectory per snapshot::
         epoch-0001/
             state.npz       model weights, Adam moments, shuffle order
             meta.json       epoch, Adam t/lr, RNG state, history, schema
-            manifest.json   sha256 per file (the serve.artifacts convention)
+            manifest.json   sha256 per file (repro.resilience.durable)
         epoch-0002/
         ...
 
-Writes are crash-safe: every file is written inside a hidden temp
+Each snapshot is a checksummed directory of
+:mod:`repro.resilience.durable` (kind ``train-checkpoint``), verified on
+load. Writes are crash-safe: every file is written inside a hidden temp
 directory, fsynced, and the whole directory is atomically renamed into
 place (`os.replace`), so a kill at any instant leaves either the previous
 complete set of checkpoints or the previous set plus one complete new
@@ -39,25 +41,18 @@ from repro import obs
 from repro.errors import ArtifactError
 from repro.nn.layers import Module
 from repro.nn.optim import Adam
+from repro.resilience.durable import (verify_manifest, write_json_atomic,
+                                      write_manifest)
 
 #: On-disk checkpoint layout version; mismatches refuse to load.
 CHECKPOINT_SCHEMA_VERSION = 1
 
-MANIFEST_NAME = "manifest.json"
+_KIND = "train-checkpoint"
 
 _MODEL_PREFIX = "model."
 _ADAM_M_PREFIX = "adam.m."
 _ADAM_V_PREFIX = "adam.v."
 _ORDER_KEY = "order"
-
-
-def _sha256(path: Path) -> str:
-    import hashlib
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _fsync_path(path: Path) -> None:
@@ -179,22 +174,10 @@ class CheckpointManager:
             "rng_state": state.rng_state,
             "history": state.history,
         }
-        with open(tmp / "meta.json", "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
+        write_json_atomic(tmp / "meta.json", meta)
         _fsync_path(tmp / "state.npz")
-
-        manifest = {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "kind": "train-checkpoint",
-            "files": {name: _sha256(tmp / name)
-                      for name in ("state.npz", "meta.json")},
-        }
-        with open(tmp / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
+        write_manifest(tmp, {"schema_version": CHECKPOINT_SCHEMA_VERSION,
+                             "kind": _KIND})
         _fsync_path(tmp)
 
         # A pre-existing slot for the same epoch (e.g. a rerun) cannot be
@@ -219,35 +202,13 @@ class CheckpointManager:
     def load(self, epoch: int) -> TrainState:
         """Load and integrity-check the snapshot for *epoch*.
 
-        Raises :class:`ArtifactError` when the snapshot is missing, was
-        written under another schema version, or fails its checksums.
+        Raises :class:`ArtifactError` when the snapshot is missing, of
+        another kind, written under another schema version (as the
+        subclass :class:`~repro.errors.SchemaVersionError`), or fails its
+        checksums.
         """
         slot = self._slot(epoch)
-        manifest_path = slot / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ArtifactError(f"no checkpoint manifest at {slot}")
-        try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ArtifactError(f"corrupt checkpoint manifest {manifest_path}: "
-                                f"{exc}") from exc
-        if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ArtifactError(
-                f"checkpoint {slot} has schema version "
-                f"{manifest.get('schema_version')!r}; this build reads "
-                f"{CHECKPOINT_SCHEMA_VERSION}")
-        bad = []
-        for name, checksum in manifest.get("files", {}).items():
-            path = slot / name
-            if not path.is_file():
-                bad.append(f"{name} (missing)")
-            elif _sha256(path) != checksum:
-                bad.append(f"{name} (checksum mismatch)")
-        if bad:
-            raise ArtifactError(
-                f"checkpoint {slot} failed integrity checks: {', '.join(bad)}")
-
+        verify_manifest(slot, _KIND, CHECKPOINT_SCHEMA_VERSION)
         with open(slot / "meta.json", encoding="utf-8") as handle:
             meta = json.load(handle)
         with np.load(slot / "state.npz") as archive:

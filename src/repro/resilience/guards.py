@@ -8,7 +8,8 @@ silent numeric corruption into typed, recoverable failures:
   any parameter gradient goes non-finite — before the bad update is
   applied anywhere downstream;
 - :meth:`~NumericGuard.check_epoch` raises when the epoch loss exceeds
-  ``divergence_factor`` times the best (rolling minimum) epoch loss seen;
+  ``divergence_factor`` times the best (rolling minimum) epoch loss seen,
+  once that best is positive;
 - the rollback half — :meth:`~NumericGuard.admit_rollback` and
   :meth:`~NumericGuard.decay_lr` — lets the trainer restore the last good
   state, halve the learning rate, and retry, a bounded number of times.
@@ -104,7 +105,9 @@ class NumericGuard:
     def check_epoch(self, mean_loss: float, epoch: int) -> None:
         """End-of-epoch check: finiteness plus the divergence bound."""
         self.check_loss(mean_loss, f"epoch {epoch} mean loss")
-        if (math.isfinite(self.best_loss)
+        # A zero best loss (e.g. every hinge triplet clears its margin)
+        # bounds nothing: any positive loss would exceed factor x 0.
+        if (0.0 < self.best_loss < math.inf
                 and mean_loss > self.policy.divergence_factor * self.best_loss):
             obs.count("resilience.guard.trips", kind="divergence")
             obs.get_flight_recorder().trip("guard_divergence")

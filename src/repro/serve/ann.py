@@ -407,17 +407,6 @@ class IVFIndex:
             [np.asarray(m, dtype=np.int64) for m in members if m]))
         return candidates, stats
 
-    def gather_many(self, interests: "list[np.ndarray]", mix: float,
-                    nprobe: int) -> list[tuple[np.ndarray, ProbeStats]]:
-        """Multi-query probe: :meth:`gather` for each interest matrix.
-
-        Centroid scoring stays per-query (same call shapes as a lone
-        :meth:`probe`, so batched probing is bit-identical to serial);
-        the batching win is one pass over the clustered state for the
-        whole batch.
-        """
-        return [self.gather(interest, mix, nprobe) for interest in interests]
-
     def search(self, interest: np.ndarray, matrix: np.ndarray, k: int, *,
                mix: float, novelty: np.ndarray | None = None,
                novelty_weight: float = 0.0, nprobe: int = 8,

@@ -54,12 +54,13 @@ from repro.core.sem import SEMConfig, SubspaceEmbeddingMethod
 from repro.core.subspace_model import SubspaceEmbeddingNetwork
 from repro.data.corpus import Corpus
 from repro.data.io import paper_from_dict, paper_to_dict
-from repro.errors import (ArtifactError, InjectedFault, NotFittedError,
-                          SchemaVersionError)
+from repro.errors import ArtifactError, InjectedFault, NotFittedError
 from repro.graph.hetero import HeterogeneousGraph
 from repro.nn.layers import Linear
 from repro.nn.serialization import load_module, save_module
 from repro.resilience import faults
+from repro.resilience.durable import (MANIFEST_NAME, verify_manifest,
+                                      write_json_atomic, write_manifest)
 from repro.resilience.retry import Backoff, retry
 from repro.text.sentence_encoder import SentenceEncoder
 from repro.text.sequence_labeler import SequenceLabeler
@@ -71,46 +72,13 @@ from repro.text.sequence_labeler import SequenceLabeler
 #: were only ever produced by ephemeral warmup runs, never shipped).
 SCHEMA_VERSION = 2
 
-MANIFEST_NAME = "manifest.json"
-
+_KIND = "nprec-pipeline"
 _VIEWS = ("interest", "influence")
 
 
 # ----------------------------------------------------------------------
 # Small helpers
 # ----------------------------------------------------------------------
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write *payload* as JSON, atomically.
-
-    Same recipe as :func:`repro.data.io.save_corpus`: dump to a
-    same-directory temp file, flush + fsync, then ``os.replace`` over
-    the target. A crash mid-write never leaves a truncated JSON file —
-    in particular a manifest rewrite (:func:`_refresh_manifest`,
-    compaction) either fully lands or leaves the old manifest intact,
-    instead of a half-written one that fails verification with no
-    recovery path.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def _read_json(path: Path) -> dict:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -177,18 +145,18 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
     root.mkdir(parents=True, exist_ok=True)
 
     with obs.trace("serve.save_pipeline", directory=str(root)):
-        _write_json(root / "config.json", _config_payload(rec))
-        _write_json(root / "graph.json", rec.model.graph.to_payload())
+        write_json_atomic(root / "config.json", _config_payload(rec))
+        write_json_atomic(root / "graph.json", rec.model.graph.to_payload())
         affiliations: dict[str, str] = dict(author_affiliations or {})
         if corpus is not None:
             affiliations.update({a.id: a.affiliation for a in corpus.authors
                                  if a.affiliation})
-        _write_json(root / "papers.json", {
+        write_json_atomic(root / "papers.json", {
             "train_papers": [paper_to_dict(p)
                              for p in rec._train_by_id.values()],
             "author_affiliations": affiliations,
         })
-        _write_json(root / "serve.json", {
+        write_json_atomic(root / "serve.json", {
             "novelty": {pid: float(score)
                         for pid, score in rec._novelty.items()},
         })
@@ -197,22 +165,16 @@ def save_pipeline(recommender: NPRecRecommender, directory: str | os.PathLike,
         if rec._profile_text is not None:
             _save_profile_text(rec._profile_text, root / "profile_text")
 
-        files = sorted(
-            str(p.relative_to(root)).replace(os.sep, "/")
-            for p in root.rglob("*")
-            if p.is_file() and p.name != MANIFEST_NAME)
-        manifest = {
+        write_manifest(root, {
             "schema_version": SCHEMA_VERSION,
-            "kind": "nprec-pipeline",
-            "files": {rel: _sha256(root / rel) for rel in files},
+            "kind": _KIND,
             "counts": {
                 "entities": rec.model.graph.num_entities,
                 "edges": rec.model.graph.num_edges,
                 "train_papers": len(rec._train_by_id),
             },
             "extra": extra_metadata or {},
-        }
-        _write_json(root / MANIFEST_NAME, manifest)
+        })
         obs.count("serve.artifact.saved")
     return root
 
@@ -244,7 +206,7 @@ def _save_sem(sem: SubspaceEmbeddingMethod, root: Path) -> None:
     rules = sem.rules
     if encoder is None or network is None or rules is None:
         raise NotFittedError("cannot save an unfitted SEM pipeline")
-    _write_json(root / "encoder.json", {
+    write_json_atomic(root / "encoder.json", {
         "dim": encoder.dim,
         "sif_a": encoder.sif_a,
         "max_words": encoder.max_words,
@@ -289,14 +251,14 @@ def _save_model(model: NPRecModel, root: Path) -> None:
                        else np.zeros((0, width), dtype=np.int64))
             fields[f"{view}_hop{hop}"] = stacked
     _save_npz(root / "fields.npz", fields)
-    _write_json(root / "field_rng.json",
-                {"state": model._field_rng.bit_generator.state})
+    write_json_atomic(root / "field_rng.json",
+                      {"state": model._field_rng.bit_generator.state})
 
 
 def _save_profile_text(module: JTIERecommender, root: Path) -> None:
     if module.bilinear_ is None:
         raise NotFittedError("profile-text module exists but is not fitted")
-    _write_json(root / "meta.json", {
+    write_json_atomic(root / "meta.json", {
         "text_dim": module.text_dim,
         "venue_rate": module._venue_rate,
         "author_h": module._author_h,
@@ -314,34 +276,7 @@ def _save_profile_text(module: JTIERecommender, root: Path) -> None:
 # ----------------------------------------------------------------------
 def _verify_manifest(root: Path) -> dict:
     faults.maybe_fail("artifact.verify")
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ArtifactError(f"no {MANIFEST_NAME} in {root} — not an artifact "
-                            "directory (or the manifest was deleted)")
-    try:
-        manifest = _read_json(manifest_path)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"artifact at {root} has schema version {version!r}; this build "
-            f"reads version {SCHEMA_VERSION}. Re-save the pipeline with the "
-            "current code (artifacts are not forward/backward compatible).")
-    if manifest.get("kind") != "nprec-pipeline":
-        raise ArtifactError(
-            f"artifact kind {manifest.get('kind')!r} is not 'nprec-pipeline'")
-    bad: list[str] = []
-    for rel, checksum in manifest.get("files", {}).items():
-        path = root / rel
-        if not path.is_file():
-            bad.append(f"{rel} (missing)")
-        elif _sha256(path) != checksum:
-            bad.append(f"{rel} (checksum mismatch)")
-    if bad:
-        raise ArtifactError(
-            f"artifact at {root} failed integrity checks: {', '.join(bad)}")
-    return manifest
+    return verify_manifest(root, _KIND, SCHEMA_VERSION)
 
 
 def load_pipeline(directory: str | os.PathLike) -> NPRecRecommender:
@@ -406,7 +341,7 @@ def save_pool(directory: str | os.PathLike, papers) -> Path:
     """
     root = Path(directory)
     path = root / "pool" / "pool.json"
-    _write_json(path, {"papers": [paper_to_dict(p) for p in papers]})
+    write_json_atomic(path, {"papers": [paper_to_dict(p) for p in papers]})
     obs.count("serve.artifact.pool_saved")
     return path
 
@@ -478,7 +413,7 @@ def save_ann_index(directory: str | os.PathLike, ivf,
         _save_npz(root / "ann" / "ivf.npz", ivf.to_arrays())
         meta = ivf.meta()
         meta["pool_sha256"] = pool_fingerprint(paper_ids)
-        _write_json(root / "ann" / "ivf.json", meta)
+        write_json_atomic(root / "ann" / "ivf.json", meta)
         _refresh_manifest(root)
         obs.count("serve.ann.artifact_saved")
     return root / "ann"
@@ -535,13 +470,7 @@ def _refresh_manifest(root: Path) -> None:
     if not manifest_path.is_file():
         raise ArtifactError(f"no {MANIFEST_NAME} in {root} — not an "
                             "artifact directory")
-    manifest = _read_json(manifest_path)
-    files = sorted(
-        str(p.relative_to(root)).replace(os.sep, "/")
-        for p in root.rglob("*")
-        if p.is_file() and p.name != MANIFEST_NAME)
-    manifest["files"] = {rel: _sha256(root / rel) for rel in files}
-    _write_json(manifest_path, manifest)
+    write_manifest(root, _read_json(manifest_path))
 
 
 def _rebuild(root: Path, manifest: dict) -> NPRecRecommender:

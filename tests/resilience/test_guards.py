@@ -67,6 +67,15 @@ class TestDetection:
     def test_first_epoch_never_diverges(self):
         NumericGuard(GuardPolicy(divergence_factor=1.5)).check_epoch(1e9, 0)
 
+    def test_zero_best_loss_bounds_nothing(self):
+        # A hinge loss reaches exactly 0 when every triplet clears the
+        # margin; a later tiny positive loss is not divergence.
+        guard = NumericGuard(GuardPolicy(divergence_factor=2.0))
+        guard.check_epoch(0.0, epoch=0)
+        guard.check_epoch(1e-9, epoch=1)
+        guard.check_epoch(0.5, epoch=2)
+        assert guard.best_loss == 0.0
+
 
 class TestRecovery:
     def test_rollback_budget(self, obs_enabled):
